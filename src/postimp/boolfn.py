@@ -118,44 +118,72 @@ def relevant_variables(f: BooleanFunction) -> frozenset:
     return frozenset(out)
 
 
+def _assignment_mask(args: Sequence[int]) -> int:
+    # pack x1, x2, ... into bits 0, 1, ... of one int
+    packed = 0
+    for i, a in enumerate(args):
+        packed |= (a & 1) << i
+    return packed
+
+
 @dataclass(frozen=True)
-class LinearNormalForm:
+class _CoefficientForm:
+    """A constant c0 and one coefficient per variable, packed into `mask`.
+
+    Bit i-1 of `mask` is the coefficient of x_i, for i in 1..n.
+    """
+
+    c0: int
+    mask: int
+    n: int
+
+    def __post_init__(self):
+        if self.mask < 0 or self.mask >> self.n:
+            raise ValueError(f"coefficient mask {self.mask:#x} does not fit {self.n} variables")
+
+    @classmethod
+    def from_flips(cls, c0: int, flips: int, n: int):
+        """The form whose value at the base point is c0 and whose value flips
+        exactly under the single-variable changes set in `flips`."""
+        return cls(c0, flips, n)
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(self.mask >> i & 1 for i in range(self.n))
+
+
+@dataclass(frozen=True)
+class LinearNormalForm(_CoefficientForm):
     """c0 xor c1*x1 xor ... xor cn*xn."""
 
-    c0: int
-    coeffs: tuple
-
     def value(self, args: Sequence[int]) -> int:
-        v = self.c0
-        for c, a in zip(self.coeffs, args):
-            v ^= c & a
-        return v
+        return self.c0 ^ ((self.mask & _assignment_mask(args)).bit_count() & 1)
 
 
 @dataclass(frozen=True)
-class OrNormalForm:
+class OrNormalForm(_CoefficientForm):
     """c0 or the disjunction of the variables with coefficient 1."""
 
-    c0: int
-    coeffs: tuple
+    @classmethod
+    def from_flips(cls, c0: int, flips: int, n: int):
+        # flips are read at the all-0 point; a constant-true form keeps every coefficient
+        return cls(c0, (1 << n) - 1 if c0 else flips, n)
 
     def value(self, args: Sequence[int]) -> int:
-        if self.c0:
-            return 1
-        return 1 if any(c & a for c, a in zip(self.coeffs, args)) else 0
+        return 1 if self.c0 or self.mask & _assignment_mask(args) else 0
 
 
 @dataclass(frozen=True)
-class AndNormalForm:
+class AndNormalForm(_CoefficientForm):
     """c0 and the conjunction of the variables with coefficient 1."""
 
-    c0: int
-    coeffs: tuple
+    @classmethod
+    def from_flips(cls, c0: int, flips: int, n: int):
+        # flips are read at the all-1 point; a constant-false form keeps every coefficient
+        return cls(c0, flips if c0 else (1 << n) - 1, n)
 
     def value(self, args: Sequence[int]) -> int:
-        if not self.c0:
-            return 0
-        return 0 if any(c and not a for c, a in zip(self.coeffs, args)) else 1
+        return 1 if self.c0 and not self.mask & ~_assignment_mask(args) else 0
 
 
 @dataclass(frozen=True)
@@ -200,28 +228,27 @@ def _verified(f, nf):
     return nf
 
 
+def _table_flips(f: BooleanFunction, point: int):
+    """f at the given input index, its arity, and the mask of inputs whose
+    single flip changes that value."""
+    c0 = f.table >> point & 1
+    flips = 0
+    for i in range(f.arity):
+        flips |= ((f.table >> (point ^ (1 << i)) & 1) ^ c0) << i
+    return c0, flips, f.arity
+
+
 def as_linear(f: BooleanFunction) -> Optional[LinearNormalForm]:
     """Linear form read off at the zero and unit inputs, verified row-exactly."""
-    c0 = f.table & 1
-    coeffs = tuple((f.table >> (1 << i) & 1) ^ c0 for i in range(f.arity))
-    return _verified(f, LinearNormalForm(c0, coeffs))
+    return _verified(f, LinearNormalForm.from_flips(*_table_flips(f, 0)))
 
 
 def as_disjunction(f: BooleanFunction) -> Optional[OrNormalForm]:
-    c0 = f.table & 1
-    coeffs = tuple(
-        0 if c0 == 0 and not f.table >> (1 << i) & 1 else 1 for i in range(f.arity)
-    )
-    return _verified(f, OrNormalForm(c0, coeffs))
+    return _verified(f, OrNormalForm.from_flips(*_table_flips(f, 0)))
 
 
 def as_conjunction(f: BooleanFunction) -> Optional[AndNormalForm]:
-    ones = f.rows - 1
-    c0 = f.table >> ones & 1
-    coeffs = tuple(
-        0 if c0 == 1 and f.table >> (ones ^ (1 << i)) & 1 else 1 for i in range(f.arity)
-    )
-    return _verified(f, AndNormalForm(c0, coeffs))
+    return _verified(f, AndNormalForm.from_flips(*_table_flips(f, f.rows - 1)))
 
 
 def as_unary(f: BooleanFunction) -> Optional[UnaryNormalForm]:

@@ -13,8 +13,6 @@ ternary generators, which the closure engine can confirm independently.
 import enum
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import boolfn
 from .boolfn import BooleanFunction, relevant_variables
 from .formula import Base
@@ -108,11 +106,11 @@ def _lift(table: int, arity: int, k: int) -> int:
     return t
 
 
-def _apply_chunks(fbits, axes, size):
+def _apply_chunks(np, fbits, axes, size):
     """Apply one connective to every argument tuple drawn from the given axis
     arrays, yielding the distinct result tables chunk by chunk.  Tuples are
     enumerated through a flat index so memory stays bounded regardless of the
-    axis sizes."""
+    axis sizes.  `np` is the numpy module, imported by the caller."""
     a = len(axes)
     sizes = [ax.size for ax in axes]
     total = 1
@@ -143,8 +141,11 @@ def _closure_search(base: Base, k: int, targets: frozenset, stop_on_first: bool)
     then repeatedly applies every base connective to argument tuples that
     touch the newest tables.  Stops early once the requested target tables
     are found (all of them, or any one when `stop_on_first`), or when the
-    whole table universe is reached.
+    whole table universe is reached.  numpy is imported here, once per
+    search, so that importing the package does not load it.
     """
+    import numpy as np
+
     size = 1 << k
     full = (1 << size) - 1
     universe = 1 << size
@@ -173,7 +174,7 @@ def _closure_search(base: Base, k: int, targets: frozenset, stop_on_first: bool)
                 axes = [old] * j + [frontier] + [current] * (f.arity - 1 - j)
                 if any(ax.size == 0 for ax in axes):
                     continue
-                for chunk in _apply_chunks(fbits, axes, size):
+                for chunk in _apply_chunks(np, fbits, axes, size):
                     for t in chunk.tolist():
                         if t in tables or t in discovered:
                             continue

@@ -92,13 +92,6 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     return Decision(True, Fragment.GENERAL, f"all {1 << n} assignments checked", None)
 
 
-def _pack(coeffs) -> int:
-    mask = 0
-    for i, c in enumerate(coeffs):
-        mask |= (c & 1) << i
-    return mask
-
-
 def decide_linear(inst: Instance) -> Decision:
     """Linear fragment: premises hold and the conclusion fails exactly when a
     parity system is solvable, so implication is its inconsistency.
@@ -111,9 +104,9 @@ def decide_linear(inst: Instance) -> Decision:
     rows = []
     for psi in inst.premises:
         nf = extract_linear_nf(psi, order)
-        rows.append((_pack(nf.coeffs), 1 ^ nf.c0))
+        rows.append((nf.mask, 1 ^ nf.c0))
     goal = extract_linear_nf(inst.conclusion, order)
-    rows.append((_pack(goal.coeffs) | 1 << n, 1 ^ goal.c0))
+    rows.append((goal.mask | 1 << n, 1 ^ goal.c0))
     rows.append((1 << n, 1))
     solution = solve(Gf2System(n + 1, tuple(rows)))
     if solution is None:
@@ -140,7 +133,7 @@ def decide_or_fragment(inst: Instance) -> Decision:
         return Decision(True, Fragment.OR, "the conclusion is identically true")
     for pos, psi in enumerate(inst.premises, 1):
         nf = extract_or_nf(psi, order)
-        if nf.c0 <= goal.c0 and all(p <= q for p, q in zip(nf.coeffs, goal.coeffs)):
+        if not nf.c0 and not nf.mask & ~goal.mask:
             return Decision(
                 True, Fragment.OR, f"premise {pos} is dominated by the conclusion"
             )
@@ -154,13 +147,12 @@ def decide_and_fragment(inst: Instance) -> Decision:
     false, or the conclusion is satisfiable and every variable it forces is
     forced by some premise."""
     order = inst.variables
-    n = len(order)
-    supplied = [0] * n
+    supplied = 0
     for pos, psi in enumerate(inst.premises, 1):
         nf = extract_and_nf(psi, order)
         if nf.c0 == 0:
             return Decision(True, Fragment.AND, f"premise {pos} is identically false")
-        supplied = [s | c for s, c in zip(supplied, nf.coeffs)]
+        supplied |= nf.mask
     goal = extract_and_nf(inst.conclusion, order)
     if goal.c0 == 0:
         return Decision(
@@ -168,7 +160,7 @@ def decide_and_fragment(inst: Instance) -> Decision:
             Fragment.AND,
             "the conclusion is identically false but the premises are satisfiable",
         )
-    if all(c <= s for c, s in zip(goal.coeffs, supplied)):
+    if not goal.mask & ~supplied:
         return Decision(
             True,
             Fragment.AND,
@@ -229,9 +221,9 @@ def decide_single_linear(premise: Formula, conclusion: Formula) -> Decision:
     order = inst.variables
     left = extract_linear_nf(premise, order)
     right = extract_linear_nf(conclusion, order)
-    if left.c0 == 0 and not any(left.coeffs):
+    if left.c0 == 0 and not left.mask:
         return Decision(True, Fragment.LINEAR, "the premise is identically false")
-    if right.c0 == 1 and not any(right.coeffs):
+    if right.c0 == 1 and not right.mask:
         return Decision(True, Fragment.LINEAR, "the conclusion is identically true")
     if left == right:
         return Decision(

@@ -3,8 +3,10 @@
 Formulae are trees of applications of named base connectives to variables.
 Variables are positioned by first occurrence; every coefficient extraction
 accepts an explicit variable order so that premises and a conclusion can
-share one index.  All evaluation walks are iterative, so formula depth is
-bounded only by memory.
+share one index.  The linear, disjunctive and conjunctive extractors read
+all n+1 probe points off one bit-sliced `evaluate_block` pass and return the
+coefficients as an int mask.  All evaluation walks are iterative, so formula
+depth is bounded only by memory.
 """
 
 import os
@@ -383,53 +385,50 @@ def _require_fragment(phi: Formula, view, what: str) -> None:
             raise FragmentError(f"connective {f.name!r} is not {what}")
 
 
+def _flip_scan(phi: Formula, variables, base_bit: int):
+    """Value at the point with every variable at `base_bit`, and the mask of
+    single-variable flips that change it, from one bit-sliced evaluation.
+
+    Lane 0 holds the base point and lane i+1 flips variable i, so the call
+    has n+1 lanes.  Returns (c0, flips, n) with bit i of `flips` for the
+    variable at position i of the order.
+    """
+    order = _resolve_order(phi, variables)
+    n = len(order)
+    width = n + 1
+    if base_bit:
+        full = (1 << width) - 1
+        words = [full ^ (2 << i) for i in range(n)]
+    else:
+        words = [2 << i for i in range(n)]
+    word = evaluate_block(phi, words, width, order)
+    c0 = word & 1
+    flips = word >> 1
+    if c0:
+        flips ^= (1 << n) - 1
+    return c0, flips, n
+
+
 def extract_linear_nf(phi: Formula, variables=None) -> LinearNormalForm:
     """Linear coefficients read off at the zero vector and the unit vectors.
 
     Sound only when every connective of the formula is linear, which is
-    checked up front; uses exactly n+1 evaluations.
+    checked up front; all n+1 points go through one `evaluate_block` call.
     """
     _require_fragment(phi, boolfn.as_linear, "linear")
-    order = _resolve_order(phi, variables)
-    n = len(order)
-    zero = [0] * n
-    c0 = evaluate(phi, zero, order)
-    coeffs = []
-    for i in range(n):
-        zero[i] = 1
-        coeffs.append(evaluate(phi, zero, order) ^ c0)
-        zero[i] = 0
-    return LinearNormalForm(c0, tuple(coeffs))
+    return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
 def extract_or_nf(phi: Formula, variables=None) -> OrNormalForm:
     """Disjunction coefficients from the zero vector and the unit vectors."""
     _require_fragment(phi, boolfn.as_disjunction, "a disjunction")
-    order = _resolve_order(phi, variables)
-    n = len(order)
-    zero = [0] * n
-    c0 = evaluate(phi, zero, order)
-    coeffs = []
-    for i in range(n):
-        zero[i] = 1
-        coeffs.append(0 if c0 == 0 and evaluate(phi, zero, order) == 0 else 1)
-        zero[i] = 0
-    return OrNormalForm(c0, tuple(coeffs))
+    return OrNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
 def extract_and_nf(phi: Formula, variables=None) -> AndNormalForm:
     """Conjunction coefficients, dually, from the all-ones and co-unit vectors."""
     _require_fragment(phi, boolfn.as_conjunction, "a conjunction")
-    order = _resolve_order(phi, variables)
-    n = len(order)
-    ones = [1] * n
-    c0 = evaluate(phi, ones, order)
-    coeffs = []
-    for i in range(n):
-        ones[i] = 0
-        coeffs.append(0 if c0 == 1 and evaluate(phi, ones, order) == 1 else 1)
-        ones[i] = 1
-    return AndNormalForm(c0, tuple(coeffs))
+    return AndNormalForm.from_flips(*_flip_scan(phi, variables, 1))
 
 
 def extract_unary_nf(phi: Formula, variables=None) -> UnaryNormalForm:

@@ -7,7 +7,7 @@ free variables.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -23,20 +23,6 @@ class Gf2System:
                 raise ValueError(f"row mask {mask:#x} does not fit {self.n} unknowns")
             if rhs not in (0, 1):
                 raise ValueError(f"right-hand side must be a bit, got {rhs!r}")
-
-    @classmethod
-    def build(cls, n: int, rows: Iterable[Tuple[Union[int, Sequence[int]], int]]) -> "Gf2System":
-        """Accepts rows whose coefficients are masks or 0/1 sequences."""
-        packed = []
-        for coeffs, rhs in rows:
-            if isinstance(coeffs, int):
-                mask = coeffs
-            else:
-                mask = 0
-                for i, c in enumerate(coeffs):
-                    mask |= (c & 1) << i
-            packed.append((mask, rhs & 1))
-        return cls(n, tuple(packed))
 
 
 @dataclass(frozen=True)

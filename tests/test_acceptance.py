@@ -239,6 +239,31 @@ def test_criterion_4_single_linear_rule():
                 assert decide_single_linear(premise, goal).implies == naive_implies(instance)[0]
 
 
+def _xor_chain(names):
+    node = Var(names[0])
+    for name in names[1:]:
+        node = App("xor", (node, Var(name)))
+    return Formula.build(node, LIN_CONST)
+
+
+def test_wide_xor_chain_budget():
+    # the linear deciders must scale with formula size: one premise that is a
+    # 1600-variable xor chain, against itself (implied) and against the chain
+    # without its last variable (refuted)
+    names = tuple(f"x{i}" for i in range(1600))
+    chain = _xor_chain(names)
+    shorter = _xor_chain(names[:-1])
+    with budget("1600-variable xor chain, single premise", 1.0):
+        assert decide_single_linear(chain, chain).implies
+        assert not decide_single_linear(chain, shorter).implies
+    with budget("1600-variable xor chain, premise set", 1.0):
+        assert decide_linear(Instance.build(LIN_CONST, (chain,), chain)).implies
+        refuted = decide_linear(Instance.build(LIN_CONST, (chain,), shorter))
+    assert not refuted.implies
+    sigma = refuted.counterexample
+    assert sum(sigma.values()) % 2 == 1 and sum(sigma[v] for v in names[:-1]) % 2 == 0
+
+
 def _all_small_dnfs():
     literal_sets = []
     for signs in itertools.product((0, 1, -1), repeat=3):

@@ -86,13 +86,13 @@ def test_relevant_variables():
 
 
 def test_normal_form_examples():
-    assert as_linear(XOR3) == boolfn.LinearNormalForm(0, (1, 1, 1))
-    assert as_disjunction(OR2) == boolfn.OrNormalForm(0, (1, 1))
+    assert as_linear(XOR3) == boolfn.LinearNormalForm(0, 0b111, 3)
+    assert as_disjunction(OR2) == boolfn.OrNormalForm(0, 0b11, 2)
     assert as_linear(OR2) is None
     nf = as_unary(NOT)
     assert nf.var == 1 and nf.is_negative
     assert as_disjunction(NOT) is None
-    assert as_conjunction(AND2) == boolfn.AndNormalForm(1, (1, 1))
+    assert as_conjunction(AND2) == boolfn.AndNormalForm(1, 0b11, 2)
     assert as_unary(TOP) == boolfn.UnaryNormalForm.const(1)
 
 

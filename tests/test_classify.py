@@ -1,8 +1,12 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import postimp
 from postimp.boolfn import (
     AND2,
     AND_OR3,
@@ -92,6 +96,15 @@ def test_closure_includes_lifted_constants():
     tables = {f.bits() for f in closure_fixed_arity(Base.of(OR2, BOT, TOP), 2)}
     assert "0000" in tables and "1111" in tables
     assert "0111" in tables  # x or y
+
+
+def test_package_import_leaves_numpy_unloaded():
+    # only the closure engine needs numpy; it imports it on first use
+    src = os.path.dirname(os.path.dirname(os.path.abspath(postimp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, postimp, postimp.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_closure_arity_validation():

@@ -170,3 +170,55 @@ def test_selftest_deterministic_record(capsys):
 def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "classify", "--base", "/nonexistent/path.base")
     assert code == 1 and "path.base" in err
+
+
+def _xor_fold(names):
+    text = names[0]
+    for name in names[1:]:
+        text = f"xor({text}, {name})"
+    return text
+
+
+def _golden_linear_instance():
+    names = [f"x{i}" for i in range(64)]
+    lines = ["base: lin.base"]
+    lines += [f"premise: xor({names[i]}, {names[i + 1]})" for i in range(0, 64, 2)]
+    lines.append("premise: xor(x5, top())")
+    lines.append(f"premise: {_xor_fold(names[::3])}")
+    lines.append(f"premise: {_xor_fold(names[1::5])}")
+    lines.append(f"conclusion: xor({_xor_fold(names[::7])}, x63)")
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_LINEAR_RECORD = (
+    '{"counterexample": {"x0": 0, "x1": 1, "x10": 1, "x11": 0, "x12": 1, "x13": 0, '
+    '"x14": 1, "x15": 0, "x16": 1, "x17": 0, "x18": 1, "x19": 0, "x2": 0, "x20": 1, '
+    '"x21": 0, "x22": 1, "x23": 0, "x24": 1, "x25": 0, "x26": 1, "x27": 0, "x28": 1, '
+    '"x29": 0, "x3": 1, "x30": 1, "x31": 0, "x32": 1, "x33": 0, "x34": 1, "x35": 0, '
+    '"x36": 1, "x37": 0, "x38": 1, "x39": 0, "x4": 1, "x40": 1, "x41": 0, "x42": 1, '
+    '"x43": 0, "x44": 1, "x45": 0, "x46": 1, "x47": 0, "x48": 1, "x49": 0, "x5": 0, '
+    '"x50": 1, "x51": 0, "x52": 1, "x53": 0, "x54": 1, "x55": 0, "x56": 1, "x57": 0, '
+    '"x58": 1, "x59": 0, "x6": 1, "x60": 1, "x61": 0, "x62": 1, "x63": 0, "x7": 0, '
+    '"x8": 1, "x9": 0}, "fragment_used": "linear", "implies": false}\n'
+)
+
+GOLDEN_OR_RECORD = '{"fragment_used": "or", "implies": true}\n'
+
+
+def test_decide_record_bytes_are_stable(capsys, tmp_path, linear_base_file):
+    # --format record output must stay byte-identical for identical input
+    (tmp_path / "lin.base").write_text(linear_base_file.read_text())
+    lin = tmp_path / "lin.txt"
+    lin.write_text(_golden_linear_instance())
+    code, out, _ = run(capsys, "decide", "--instance", str(lin), "--format", "record")
+    assert code == 0 and out == GOLDEN_LINEAR_RECORD
+    (tmp_path / "or.base").write_text("or 2 0111\nbot 0 0\n")
+    disj = tmp_path / "or.txt"
+    disj.write_text(
+        "base: or.base\n"
+        "premise: or(c, or(a, d))\n"
+        "premise: or(a, or(b, bot()))\n"
+        "conclusion: or(a, or(e, or(b, c)))\n"
+    )
+    code, out, _ = run(capsys, "decide", "--instance", str(disj), "--format", "record")
+    assert code == 0 and out == GOLDEN_OR_RECORD

@@ -157,9 +157,9 @@ def test_truth_table():
 
 
 def test_linear_extraction():
-    assert extract_linear_nf(parse_formula("xor3(x, y, z)", LIN)) == LinearNormalForm(0, (1, 1, 1))
-    assert extract_linear_nf(parse_formula("xor3(x, x, y)", LIN)) == LinearNormalForm(0, (0, 1))
-    assert extract_linear_nf(parse_formula("xor3(t, t, t)", LIN)) == LinearNormalForm(0, (1,))
+    assert extract_linear_nf(parse_formula("xor3(x, y, z)", LIN)) == LinearNormalForm(0, 0b111, 3)
+    assert extract_linear_nf(parse_formula("xor3(x, x, y)", LIN)) == LinearNormalForm(0, 0b10, 2)
+    assert extract_linear_nf(parse_formula("xor3(t, t, t)", LIN)) == LinearNormalForm(0, 0b1, 1)
     with pytest.raises(FragmentError, match="'and' is not linear"):
         extract_linear_nf(parse_formula("and(x, y)", BASIC))
 
@@ -217,6 +217,80 @@ def test_extraction_reconstructs_truth_table(base, extract):
         for j in range(1 << len(names)):
             sigma = [(j >> i) & 1 for i in range(len(names))]
             assert nf.value(sigma) == evaluate(phi, sigma, names), format_formula(phi)
+
+
+
+def _scalar_flip_reference(phi, order, kind):
+    # the extraction rule spelled out with n+1 scalar evaluations
+    point = [1 if kind == "and" else 0] * len(order)
+    c0 = evaluate(phi, point, order)
+    coeffs = []
+    for i in range(len(order)):
+        point[i] ^= 1
+        flipped = evaluate(phi, point, order)
+        point[i] ^= 1
+        if kind == "linear":
+            coeffs.append(flipped ^ c0)
+        elif kind == "or":
+            coeffs.append(0 if c0 == 0 and flipped == 0 else 1)
+        else:
+            coeffs.append(0 if c0 == 1 and flipped == 1 else 1)
+    return c0, tuple(coeffs)
+
+
+def _wide_formula(rng, base, names, const_rate):
+    # random tree over many variables: leaves are combined pairwise at random
+    connectives = [f for f in base.functions if f.arity >= 1]
+    constants = [f.name for f in base.functions if f.arity == 0]
+
+    def leaf():
+        if rng.random() < const_rate:
+            return App(rng.choice(constants))
+        return Var(rng.choice(names))
+
+    nodes = [leaf() for _ in range(2 * len(names))]
+    while len(nodes) > 1:
+        f = rng.choice(connectives)
+        args = [nodes.pop(rng.randrange(len(nodes))) for _ in range(min(f.arity, len(nodes)))]
+        args += [leaf() for _ in range(f.arity - len(args))]
+        nodes.append(App(f.name, tuple(args)))
+    return nodes[0]
+
+
+@pytest.mark.parametrize(
+    "base,extract,kind",
+    [
+        (Base.of(XOR2, XOR3, TOP, BOT), extract_linear_nf, "linear"),
+        (Base.of(OR2, TOP, BOT), extract_or_nf, "or"),
+        (Base.of(AND2, TOP, BOT), extract_and_nf, "and"),
+    ],
+)
+def test_extraction_beyond_one_word(base, extract, kind):
+    # orders of 70-200 variables give multi-limb lane words; the order also
+    # holds variables absent from the formula, and some formulae are constant
+    rng = random.Random(f"wide-{kind}")
+    for trial in range(9):
+        pool = tuple(f"v{i}" for i in range(rng.randint(70, 200)))
+        used = rng.sample(pool, rng.randint(1, len(pool) - 1))
+        const_rate = (0.0, 0.004, 1.0)[trial % 3]
+        phi = Formula.build(_wide_formula(rng, base, used, const_rate), base)
+        order = list(pool)
+        rng.shuffle(order)
+        nf = extract(phi, order)
+        c0, coeffs = _scalar_flip_reference(phi, order, kind)
+        assert (nf.c0, nf.coeffs, nf.n) == (c0, coeffs, len(order))
+        assert nf.mask == sum(c << i for i, c in enumerate(coeffs))
+        constant_form = {"linear": False, "or": c0 == 1, "and": c0 == 0}[kind]
+        if not constant_form:
+            absent = [i for i, name in enumerate(order) if name not in phi.variables]
+            assert absent and not any(nf.mask >> i & 1 for i in absent)
+        for _ in range(12):
+            sigma = [rng.getrandbits(1) for _ in order]
+            assert nf.value(sigma) == evaluate(phi, sigma, order)
+        if not phi.variables:
+            bare = extract(phi, ())
+            assert (bare.c0, bare.mask, bare.n) == (c0, 0, 0)
+            assert bare.value([]) == evaluate(phi, [], ())
 
 
 def test_instance_variable_order():

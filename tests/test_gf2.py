@@ -8,7 +8,8 @@ from postimp.gf2 import EchelonForm, Gf2System, eliminate, is_consistent, read_s
 
 
 def sys_of(n, *rows):
-    return Gf2System.build(n, rows)
+    # rows list the coefficient bits of x1..xn; the system takes them as masks
+    return Gf2System(n, tuple((sum(c << i for i, c in enumerate(bits)), rhs) for bits, rhs in rows))
 
 
 def test_eliminate_single_pivot():

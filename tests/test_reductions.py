@@ -104,23 +104,23 @@ def test_tautology_reductions_exhaustive_small():
 
 
 def test_linear_system_reduction():
-    solvable = Gf2System.build(1, [([1], 1)])
+    solvable = Gf2System(1, ((0b1, 1),))
     inst, goal = reduce_linsys_to_imp(solvable)
     assert goal == "f"
     assert not decide_oracle(inst).implies
-    conflict = Gf2System.build(2, [([1, 1], 1), ([1, 1], 0)])
+    conflict = Gf2System(2, ((0b11, 1), (0b11, 0)))
     inst, _ = reduce_linsys_to_imp(conflict)
     assert decide_oracle(inst).implies
-    cycle = Gf2System.build(3, [([1, 1, 0], 1), ([0, 1, 1], 1), ([1, 0, 1], 1)])
+    cycle = Gf2System(3, ((0b011, 1), (0b110, 1), (0b101, 1)))
     inst, _ = reduce_linsys_to_imp(cycle)
     assert decide_oracle(inst).implies
 
 
 def test_linear_system_reduction_edge_rows():
     # an all-zero row with rhs 1 forces the goal variable directly
-    inst, _ = reduce_linsys_to_imp(Gf2System.build(2, [([0, 0], 1)]))
+    inst, _ = reduce_linsys_to_imp(Gf2System(2, ((0b00, 1),)))
     assert decide_oracle(inst).implies
-    inst, _ = reduce_linsys_to_imp(Gf2System.build(2, [([0, 0], 0)]))
+    inst, _ = reduce_linsys_to_imp(Gf2System(2, ((0b00, 0),)))
     assert not decide_oracle(inst).implies
     with pytest.raises(ValueError, match="no rows"):
         reduce_linsys_to_imp(Gf2System(2, ()))
@@ -188,7 +188,7 @@ def test_emitted_instances_roundtrip(tmp_path):
     emitted = [
         reduce_tautdnf_monotone(DnfInput.build([[1, -2], [2]])),
         reduce_tautdnf_d2(DnfInput.build([[1, -2], [2]])),
-        reduce_linsys_to_imp(Gf2System.build(2, [([1, 1], 1)]))[0],
+        reduce_linsys_to_imp(Gf2System(2, ((0b11, 1),)))[0],
         reduce_mod2_unary("101"),
         reduce_mod2_single_linear("101"),
     ]
