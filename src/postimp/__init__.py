@@ -18,7 +18,6 @@ from .boolfn import (
     LinearNormalForm,
     OrNormalForm,
     AndNormalForm,
-    UnaryNormalForm,
 )
 from .classify import (
     Fragment,

@@ -154,7 +154,7 @@ class _CoefficientForm:
 
 @dataclass(frozen=True)
 class LinearNormalForm(_CoefficientForm):
-    """c0 xor c1*x1 xor ... xor cn*xn."""
+    """c0 xor c1*x1 xor ... xor cn*xn; with at most one ci set, the unary form."""
 
     def value(self, args: Sequence[int]) -> int:
         return self.c0 ^ ((self.mask & _assignment_mask(args)).bit_count() & 1)
@@ -184,40 +184,6 @@ class AndNormalForm(_CoefficientForm):
 
     def value(self, args: Sequence[int]) -> int:
         return 1 if self.c0 and not self.mask & ~_assignment_mask(args) else 0
-
-
-@dataclass(frozen=True)
-class UnaryNormalForm:
-    """A constant or a single literal.
-
-    `var` is a 1-based input position, or None for constants.  For literals
-    `bit` is the polarity (1 = the variable itself, 0 = its negation); for
-    constants it is the constant value.
-    """
-
-    var: Optional[int]
-    bit: int
-
-    @classmethod
-    def const(cls, value: int) -> "UnaryNormalForm":
-        return cls(None, value)
-
-    @classmethod
-    def literal(cls, var: int, positive: bool) -> "UnaryNormalForm":
-        return cls(var, 1 if positive else 0)
-
-    @property
-    def is_const(self) -> bool:
-        return self.var is None
-
-    @property
-    def is_negative(self) -> bool:
-        return self.var is not None and self.bit == 0
-
-    def value(self, args: Sequence[int]) -> int:
-        if self.var is None:
-            return self.bit
-        return args[self.var - 1] ^ self.bit ^ 1
 
 
 def _verified(f, nf):
@@ -251,14 +217,12 @@ def as_conjunction(f: BooleanFunction) -> Optional[AndNormalForm]:
     return _verified(f, AndNormalForm.from_flips(*_table_flips(f, f.rows - 1)))
 
 
-def as_unary(f: BooleanFunction) -> Optional[UnaryNormalForm]:
-    relevant = relevant_variables(f)
-    if len(relevant) > 1:
+def as_unary(f: BooleanFunction) -> Optional[LinearNormalForm]:
+    """A constant or a literal, as the linear form with at most one coefficient;
+    such an f is always linear, so no row check is needed."""
+    if len(relevant_variables(f)) > 1:
         return None
-    if not relevant:
-        return UnaryNormalForm.const(f.table & 1)
-    (i,) = relevant
-    return UnaryNormalForm.literal(i, positive=not f.table & 1)
+    return LinearNormalForm.from_flips(*_table_flips(f, 0))
 
 
 def read_functions(path) -> list:

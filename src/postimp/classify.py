@@ -56,13 +56,14 @@ def classify_base(base: Base) -> ImpComplexity:
         return ImpComplexity(
             ImpClass.AC0, Fragment.AND, "every connective is a conjunction of variables and constants"
         )
-    non_linear = next((f for f in base.functions if boolfn.as_linear(f) is None), None)
+    forms = [(f, boolfn.as_linear(f)) for f in base.functions]
+    non_linear = next((f for f, nf in forms if nf is None), None)
     if non_linear is None:
-        wide = next((f for f in base.functions if boolfn.as_unary(f) is None), None)
+        # a linear connective is unary when at most one coefficient is set,
+        # and it negates when that literal carries the constant 1
+        wide = next((f for f, nf in forms if nf.mask.bit_count() > 1), None)
         if wide is None:
-            negation = next(
-                (f for f in base.functions if boolfn.as_unary(f).is_negative), None
-            )
+            negation = next((f for f, nf in forms if nf.mask and nf.c0), None)
             if negation is not None:
                 return ImpComplexity(
                     ImpClass.AC0_MOD2,

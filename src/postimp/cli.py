@@ -10,8 +10,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
-from typing import Optional
 
 from .boolfn import ArityError
 from .classify import Fragment, classify_base, classify_base_single_premise, closure_fixed_arity
@@ -31,35 +29,17 @@ from .selftest import run_selftest
 REDUCTION_KINDS = ("tautdnf-monotone", "tautdnf-d2", "linsys", "mod2-unary", "mod2-single")
 
 
-@dataclass
-class RunConfig:
-    command: str
-    base: Optional[str] = None
-    instance: Optional[str] = None
-    single_premise: bool = False
-    force_fragment: Optional[str] = None
-    max_vars: int = DEFAULT_VARIABLE_CAP
-    seed: int = 0
-    cases: int = 1000
-    out_format: str = "human"
-    kind: Optional[str] = None
-    input: Optional[str] = None
-    out_instance: str = "instance.txt"
-    out_base: str = "base.txt"
-    arity: int = 3
-
-
 def _record(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def run_classify(cfg: RunConfig):
-    base = Base.load(cfg.base)
-    if cfg.single_premise:
+def run_classify(args: argparse.Namespace):
+    base = Base.load(args.base)
+    if args.single_premise:
         verdict = classify_base_single_premise(base)
     else:
         verdict = classify_base(base)
-    mode = Mode.SINGLE_PREMISE if cfg.single_premise else Mode.SET_PREMISE
+    mode = Mode.SINGLE_PREMISE if args.single_premise else Mode.SET_PREMISE
     record = {
         "problem": mode.value,
         "class": verdict.complexity.value,
@@ -73,12 +53,12 @@ def run_classify(cfg: RunConfig):
     return record, human
 
 
-def run_decide(cfg: RunConfig):
-    base = Base.load(cfg.base) if cfg.base else None
-    inst = read_instance(cfg.instance, base)
-    mode = Mode.SINGLE_PREMISE if cfg.single_premise else Mode.SET_PREMISE
-    override = Fragment(cfg.force_fragment) if cfg.force_fragment else None
-    decision = dispatch(inst, mode, override=override, max_vars=cfg.max_vars)
+def run_decide(args: argparse.Namespace):
+    base = Base.load(args.base) if args.base else None
+    inst = read_instance(args.instance, base)
+    mode = Mode.SINGLE_PREMISE if args.single_premise else Mode.SET_PREMISE
+    override = Fragment(args.force_fragment) if args.force_fragment else None
+    decision = dispatch(inst, mode, override=override, max_vars=args.max_vars)
     record = {
         "implies": decision.implies,
         "fragment_used": decision.fragment_used.value,
@@ -92,58 +72,58 @@ def run_decide(cfg: RunConfig):
     return record, human
 
 
-def run_reduce(cfg: RunConfig):
-    if cfg.kind in ("tautdnf-monotone", "tautdnf-d2"):
-        if not cfg.input:
-            raise ValueError(f"reduce {cfg.kind} needs a DNF file argument")
-        dnf = read_dnf(cfg.input)
-        inst = reduce_tautdnf_monotone(dnf) if cfg.kind == "tautdnf-monotone" else reduce_tautdnf_d2(dnf)
-    elif cfg.kind == "linsys":
-        if not cfg.input:
+def run_reduce(args: argparse.Namespace):
+    if args.kind in ("tautdnf-monotone", "tautdnf-d2"):
+        if not args.input:
+            raise ValueError(f"reduce {args.kind} needs a DNF file argument")
+        dnf = read_dnf(args.input)
+        inst = reduce_tautdnf_monotone(dnf) if args.kind == "tautdnf-monotone" else reduce_tautdnf_d2(dnf)
+    elif args.kind == "linsys":
+        if not args.input:
             raise ValueError("reduce linsys needs a linear-system file argument")
-        inst, _goal = reduce_linsys_to_imp(read_system(cfg.input))
-    elif cfg.kind == "mod2-unary":
-        inst = reduce_mod2_unary(cfg.input or "")
-    elif cfg.kind == "mod2-single":
-        inst = reduce_mod2_single_linear(cfg.input or "")
+        inst, _goal = reduce_linsys_to_imp(read_system(args.input))
+    elif args.kind == "mod2-unary":
+        inst = reduce_mod2_unary(args.input)
+    elif args.kind == "mod2-single":
+        inst = reduce_mod2_single_linear(args.input)
     else:
-        raise ValueError(f"unknown reduction kind {cfg.kind!r}")
-    inst.base.save(cfg.out_base)
+        raise ValueError(f"unknown reduction kind {args.kind!r}")
+    inst.base.save(args.out_base)
     ref = os.path.relpath(
-        os.path.abspath(cfg.out_base), os.path.dirname(os.path.abspath(cfg.out_instance))
+        os.path.abspath(args.out_base), os.path.dirname(os.path.abspath(args.out_instance))
     )
-    write_instance(inst, cfg.out_instance, base_ref=ref)
+    write_instance(inst, args.out_instance, base_ref=ref)
     record = {
-        "kind": cfg.kind,
-        "instance": cfg.out_instance,
-        "base": cfg.out_base,
+        "kind": args.kind,
+        "instance": args.out_instance,
+        "base": args.out_base,
         "premises": len(inst.premises),
         "variables": len(inst.variables),
     }
     human = (
-        f"wrote {cfg.kind} instance to {cfg.out_instance} (base {cfg.out_base}): "
+        f"wrote {args.kind} instance to {args.out_instance} (base {args.out_base}): "
         f"{len(inst.premises)} premise(s), {len(inst.variables)} variable(s)"
     )
     return record, human
 
 
-def run_closure(cfg: RunConfig):
-    base = Base.load(cfg.base)
-    closure = closure_fixed_arity(base, cfg.arity)
+def run_closure(args: argparse.Namespace):
+    base = Base.load(args.base)
+    closure = closure_fixed_arity(base, args.arity)
     tables = sorted(f.bits() for f in closure)
     record = {
-        "arity": cfg.arity,
+        "arity": args.arity,
         "count": len(tables),
         "functions": tables,
     }
-    human = f"closure of {{{', '.join(base.names)}}} at arity {cfg.arity}: {len(tables)} function(s)\n"
+    human = f"closure of {{{', '.join(base.names)}}} at arity {args.arity}: {len(tables)} function(s)\n"
     human += "\n".join(tables)
     return record, human
 
 
-def run_selftest_command(cfg: RunConfig):
+def run_selftest_command(args: argparse.Namespace):
     started = time.perf_counter()
-    report = run_selftest(seed=cfg.seed, cases=cfg.cases)
+    report = run_selftest(seed=args.seed, cases=args.cases)
     elapsed = time.perf_counter() - started
     lines = []
     for fragment, entry in sorted(report["fragments"].items()):
@@ -211,22 +191,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(**vars(args))
     try:
-        if cfg.command == "classify":
-            record, human = run_classify(cfg)
-        elif cfg.command == "decide":
-            record, human = run_decide(cfg)
-        elif cfg.command == "reduce":
-            record, human = run_reduce(cfg)
-        elif cfg.command == "closure":
-            record, human = run_closure(cfg)
+        if args.command == "classify":
+            record, human = run_classify(args)
+        elif args.command == "decide":
+            record, human = run_decide(args)
+        elif args.command == "reduce":
+            record, human = run_reduce(args)
+        elif args.command == "closure":
+            record, human = run_closure(args)
         else:
-            record, human, failures = run_selftest_command(cfg)
-            print(_record(record) if cfg.out_format == "record" else human)
+            record, human, failures = run_selftest_command(args)
+            print(_record(record) if args.out_format == "record" else human)
             return 1 if failures else 0
     except (ValueError, ArityError, ParseError, FragmentError, VariableCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_record(record) if cfg.out_format == "record" else human)
+    print(_record(record) if args.out_format == "record" else human)
     return 0

@@ -174,36 +174,39 @@ def decide_and_fragment(inst: Instance) -> Decision:
 
 
 def decide_unary_fragment(inst: Instance) -> Decision:
-    """Unary fragment: every formula is a literal or a constant.  Premises are
-    unsatisfiable only through a constant-false premise or a complementary
-    literal pair; otherwise the conclusion must be constant true or one of the
-    premise literals."""
+    """Unary fragment: every formula is a literal or a constant, a linear form
+    with at most one coefficient.  Premises are unsatisfiable only through a
+    constant-false premise or a complementary literal pair; otherwise the
+    conclusion must be constant true or one of the premise literals.
+
+    Literals are keyed by (mask, c0): the complement of a literal flips c0,
+    and a constant has an empty mask."""
     order = inst.variables
     literals = {}
     for pos, psi in enumerate(inst.premises, 1):
         nf = extract_unary_nf(psi, order)
-        if nf.is_const:
-            if nf.bit == 0:
+        if not nf.mask:
+            if not nf.c0:
                 return Decision(
                     True, Fragment.UNARY, f"premise {pos} is identically false"
                 )
             continue
-        other = literals.get((nf.var, nf.bit ^ 1))
+        other = literals.get((nf.mask, nf.c0 ^ 1))
         if other is not None:
             return Decision(
                 True,
                 Fragment.UNARY,
                 f"premises {other} and {pos} are complementary literals",
             )
-        literals.setdefault((nf.var, nf.bit), pos)
+        literals.setdefault((nf.mask, nf.c0), pos)
     goal = extract_unary_nf(inst.conclusion, order)
-    if goal.is_const:
-        if goal.bit:
+    if not goal.mask:
+        if goal.c0:
             return Decision(True, Fragment.UNARY, "the conclusion is identically true")
         return Decision(
             False, Fragment.UNARY, "the conclusion is identically false but the premises hold somewhere"
         )
-    pos = literals.get((goal.var, goal.bit))
+    pos = literals.get((goal.mask, goal.c0))
     if pos is not None:
         return Decision(
             True, Fragment.UNARY, f"the conclusion literal is forced by premise {pos}"

@@ -3,10 +3,11 @@
 Formulae are trees of applications of named base connectives to variables.
 Variables are positioned by first occurrence; every coefficient extraction
 accepts an explicit variable order so that premises and a conclusion can
-share one index.  The linear, disjunctive and conjunctive extractors read
-all n+1 probe points off one bit-sliced `evaluate_block` pass and return the
-coefficients as an int mask.  All evaluation walks are iterative, so formula
-depth is bounded only by memory.
+share one index.  All four extractors (linear, disjunctive, conjunctive and
+unary) read the n+1 probe points off one bit-sliced `evaluate_block` pass,
+`_flip_scan`, and return the coefficients as an int mask; a unary formula
+gets the linear form with at most one coefficient.  All evaluation walks are
+iterative, so formula depth is bounded only by memory.
 """
 
 import os
@@ -22,7 +23,6 @@ from .boolfn import (
     LinearNormalForm,
     MAX_ARITY,
     OrNormalForm,
-    UnaryNormalForm,
     read_functions,
     write_functions,
 )
@@ -141,7 +141,11 @@ class Formula:
         while stack:
             node = stack.pop()
             if isinstance(node, Var):
-                seen.setdefault(node.name, len(seen))
+                if node.name not in seen:
+                    # the printed formula must parse back to the same tree
+                    if not _VAR_RE.fullmatch(node.name) or node.name in base:
+                        raise ValueError(f"{node.name!r} does not parse as a variable over this base")
+                    seen[node.name] = len(seen)
                 continue
             if node.fn not in base:
                 raise ValueError(f"unknown connective {node.fn!r}")
@@ -431,22 +435,14 @@ def extract_and_nf(phi: Formula, variables=None) -> AndNormalForm:
     return AndNormalForm.from_flips(*_flip_scan(phi, variables, 1))
 
 
-def extract_unary_nf(phi: Formula, variables=None) -> UnaryNormalForm:
-    """Follow the single relevant path from the root, composing each node's
-    behaviour (identity, negation, or constant)."""
+def extract_unary_nf(phi: Formula, variables=None) -> LinearNormalForm:
+    """A constant or a literal, as the linear form with at most one coefficient.
+
+    Every connective depends on at most one input, so the formula does too;
+    such a formula is linear and its flips at the zero vector describe it.
+    """
     _require_fragment(phi, boolfn.as_unary, "unary")
-    order = _resolve_order(phi, variables)
-    node = phi.root
-    positive = True
-    while True:
-        if isinstance(node, Var):
-            return UnaryNormalForm.literal(order.index(node.name) + 1, positive)
-        behaviour = boolfn.as_unary(phi.base[node.fn])
-        if behaviour.is_const:
-            return UnaryNormalForm.const(behaviour.bit if positive else behaviour.bit ^ 1)
-        if behaviour.is_negative:
-            positive = not positive
-        node = node.args[behaviour.var - 1]
+    return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
 @dataclass(frozen=True)

@@ -90,10 +90,10 @@ def test_normal_form_examples():
     assert as_disjunction(OR2) == boolfn.OrNormalForm(0, 0b11, 2)
     assert as_linear(OR2) is None
     nf = as_unary(NOT)
-    assert nf.var == 1 and nf.is_negative
+    assert nf == boolfn.LinearNormalForm(1, 0b1, 1)
     assert as_disjunction(NOT) is None
     assert as_conjunction(AND2) == boolfn.AndNormalForm(1, 0b11, 2)
-    assert as_unary(TOP) == boolfn.UnaryNormalForm.const(1)
+    assert as_unary(TOP) == boolfn.LinearNormalForm(1, 0, 0)
 
 
 # ---- independent re-derivations for the exhaustive sweep ----

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import naive_implies, naive_table, semantic_formulas
-from postimp.boolfn import AND2, BOT, MAJ3, NOT, OR2, TOP, XOR2, XOR3
+from postimp.boolfn import AND2, BOT, MAJ3, NOT, OR2, TOP, XOR2, XOR3, BooleanFunction
 from postimp.classify import Fragment
 from postimp.decide import (
     Decision,
@@ -125,6 +125,20 @@ def test_unary_decider():
     assert decide_unary_fragment(inst(N, ["not(top())"], "u")).implies
     assert not decide_unary_fragment(inst(N, ["top()"], "u")).implies
     assert decide_unary_fragment(inst(N, [], "not(not(top()))")).implies
+
+
+def test_unary_dispatch_with_a_fictive_argument():
+    # nfst is not(x1) and ignores x2: a binary connective in the unary fragment
+    base = Base.of(BooleanFunction.from_bits("nfst", "1010"), TOP)
+    rng = random.Random("nfst")
+    answers = set()
+    for _ in range(300):
+        instance = random_instance(rng, base, max_vars=6)
+        fast = dispatch(instance)
+        assert fast.fragment_used is Fragment.UNARY
+        assert fast.implies == decide_oracle(instance).implies
+        answers.add(fast.implies)
+    assert answers == {True, False}
 
 
 def test_single_linear_decider():

@@ -7,12 +7,12 @@ from helpers import naive_table, naive_value
 from postimp.boolfn import (
     AND2,
     BOT,
+    BooleanFunction,
     LinearNormalForm,
     MAJ3,
     NOT,
     OR2,
     TOP,
-    UnaryNormalForm,
     XOR2,
     XOR3,
 )
@@ -41,6 +41,7 @@ from postimp.formula import (
 BASIC = Base.of(AND2, OR2, NOT, TOP, BOT)
 LIN = Base.of(XOR2, XOR3, TOP, BOT)
 MAJ = Base.of(MAJ3)
+NFST = BooleanFunction.from_bits("nfst", "1010")  # not x1, x2 fictive
 
 
 def test_parse_application():
@@ -88,6 +89,19 @@ def test_roundtrip_canonical():
     once = format_formula(messy)
     assert format_formula(parse_formula(once, BASIC)) == once
     assert once == "and(x, or(y, top()))"
+
+
+def test_build_rejects_variables_that_do_not_read_back():
+    # printed, these trees would parse as something else or not at all
+    base = Base.of(OR2, TOP, BOT)
+    with pytest.raises(ValueError, match="'top' does not parse as a variable"):
+        Formula.build(App("or", (Var("top"), Var("bot"))), base)
+    with pytest.raises(ValueError, match="'X1' does not parse as a variable"):
+        Formula.build(Var("X1"), base)
+    with pytest.raises(ValueError, match="'or' does not parse as a variable"):
+        Formula.build(App("or", (Var("x"), Var("or"))), base)
+    phi = Formula.build(App("or", (Var("x1"), Var("t_2"))), base)
+    assert parse_formula(format_formula(phi), base) == phi
 
 
 def _node_strategy():
@@ -181,10 +195,10 @@ def test_and_extraction():
 
 
 def test_unary_extraction():
-    assert extract_unary_nf(parse_formula("not(not(t))", BASIC)) == UnaryNormalForm.literal(1, True)
-    assert extract_unary_nf(parse_formula("not(t)", BASIC)) == UnaryNormalForm.literal(1, False)
-    assert extract_unary_nf(parse_formula("top()", BASIC)) == UnaryNormalForm.const(1)
-    assert extract_unary_nf(parse_formula("not(top())", BASIC)) == UnaryNormalForm.const(0)
+    assert extract_unary_nf(parse_formula("not(not(t))", BASIC)) == LinearNormalForm(0, 0b1, 1)
+    assert extract_unary_nf(parse_formula("not(t)", BASIC)) == LinearNormalForm(1, 0b1, 1)
+    assert extract_unary_nf(parse_formula("top()", BASIC)) == LinearNormalForm(1, 0, 0)
+    assert extract_unary_nf(parse_formula("not(top())", BASIC)) == LinearNormalForm(0, 0, 0)
     with pytest.raises(FragmentError):
         extract_unary_nf(parse_formula("and(x, y)", BASIC))
 
@@ -229,7 +243,7 @@ def _scalar_flip_reference(phi, order, kind):
         point[i] ^= 1
         flipped = evaluate(phi, point, order)
         point[i] ^= 1
-        if kind == "linear":
+        if kind in ("linear", "unary"):
             coeffs.append(flipped ^ c0)
         elif kind == "or":
             coeffs.append(0 if c0 == 0 and flipped == 0 else 1)
@@ -263,6 +277,7 @@ def _wide_formula(rng, base, names, const_rate):
         (Base.of(XOR2, XOR3, TOP, BOT), extract_linear_nf, "linear"),
         (Base.of(OR2, TOP, BOT), extract_or_nf, "or"),
         (Base.of(AND2, TOP, BOT), extract_and_nf, "and"),
+        (Base.of(NOT, NFST, TOP, BOT), extract_unary_nf, "unary"),
     ],
 )
 def test_extraction_beyond_one_word(base, extract, kind):
@@ -280,7 +295,7 @@ def test_extraction_beyond_one_word(base, extract, kind):
         c0, coeffs = _scalar_flip_reference(phi, order, kind)
         assert (nf.c0, nf.coeffs, nf.n) == (c0, coeffs, len(order))
         assert nf.mask == sum(c << i for i, c in enumerate(coeffs))
-        constant_form = {"linear": False, "or": c0 == 1, "and": c0 == 0}[kind]
+        constant_form = {"linear": False, "unary": False, "or": c0 == 1, "and": c0 == 0}[kind]
         if not constant_form:
             absent = [i for i, name in enumerate(order) if name not in phi.variables]
             assert absent and not any(nf.mask >> i & 1 for i in absent)
