@@ -6,6 +6,7 @@ a_i = (j >> (i - 1)) & 1.  The constants are the 0-ary functions with tables
 "0" and "1".
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -87,25 +88,35 @@ def is_monotone(f: BooleanFunction) -> bool:
 
 
 def dual(f: BooleanFunction) -> BooleanFunction:
-    """Negate the output and all inputs; an involution on tables."""
-    rows = f.rows
-    t = 0
-    for j in range(rows):
-        if not f.table >> (rows - 1 - j) & 1:
-            t |= 1 << j
-    return BooleanFunction(f.name, f.arity, t)
+    """Negate the output and all inputs, so row j is row rows-1-j complemented."""
+    flipped = format(f.table ^ ((1 << f.rows) - 1), f"0{f.rows}b")
+    return BooleanFunction(f.name, f.arity, int(flipped[::-1], 2))
 
 
 def is_self_dual(f: BooleanFunction) -> bool:
     return f.table == dual(f).table
 
 
-def is_c_separating(f: BooleanFunction, c: int) -> bool:
-    """Some coordinate equals c on every input mapped to c."""
+def separation_degree(f: BooleanFunction, c: int) -> float:
+    """Largest m with f in S_c^m: any m or fewer inputs that f maps to c share
+    a coordinate equal to c; infinite when f is c-separating.  A constant has
+    the degree of its unary lift.  With below[s] the number of such inputs
+    whose non-c coordinates lie in s, the j-tuples of them whose non-c
+    coordinates cover all n positions number sum (-1)^(n - |s|) below[s]^j."""
     if f.arity == 0:
-        return False
-    preimage = [j for j in range(f.rows) if (f.table >> j & 1) == c]
-    return any(all((j >> i & 1) == c for j in preimage) for i in range(f.arity))
+        f = BooleanFunction(f.name, 1, 3 * f.table)
+    full = f.rows - 1
+    below = [0] * f.rows
+    for j in range(f.rows):
+        below[j ^ full * c] += (f.table >> j & 1) == c
+    for i in range(f.arity):
+        for s in range(f.rows):
+            if s >> i & 1:
+                below[s] += below[s ^ 1 << i]
+    for m in range(f.arity):
+        if sum((-1) ** (full ^ s).bit_count() * below[s] ** (m + 1) for s in range(f.rows)):
+            return m
+    return math.inf
 
 
 def relevant_variables(f: BooleanFunction) -> frozenset:

@@ -1,5 +1,5 @@
-"""Complexity classification of a connective base, plus a bounded-arity
-composition-closure engine used to cross-validate the classification.
+"""Complexity classification of a connective base, and the closure of a base
+at a fixed arity, used to cross-validate the classification.
 
 The fast classifier tests fragment membership function by function: a base
 whose connectives are all disjunctions (or all conjunctions) is constant-depth
@@ -7,18 +7,25 @@ decidable; an all-linear base is parity-hard once some connective has two or
 more relevant variables (identifying variables in such a connective yields the
 ternary xor, so the closure reaches the full linear region); an all-unary base
 is easy unless it can negate.  Everything else composes one of the three hard
-ternary generators, which the closure engine can confirm independently.
+ternary generators, which the closure confirms independently.
+
+Every clone is the intersection of some of the Post classes R0, R1, M, D, L,
+V, E, N, S0^m and S1^m (Boehler, Creignou, Reith, Vollmer, "Playing with
+Boolean Blocks I"), so f lies in [B] exactly when f lies in every class that
+contains all of B: the closure is computed by membership, not composition.
 """
 
 import enum
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 from . import boolfn
 from .boolfn import BooleanFunction, relevant_variables
-from .formula import Base
+from .formula import Base, variable_word
 
 MAX_CLOSURE_ARITY = 4
-_CHUNK_ELEMS = 1 << 22
 
 
 class ImpClass(enum.Enum):
@@ -99,96 +106,86 @@ def classify_base_single_premise(base: Base) -> ImpComplexity:
     return verdict
 
 
-def _lift(table: int, arity: int, k: int) -> int:
-    # replicate so the extra high-order variables become fictive
-    t = table
-    for step in range(arity, k):
-        t |= t << (1 << step)
-    return t
+def _properties(f: BooleanFunction) -> tuple:
+    """f's class vector: membership in R0, R1, M, D, L, V, E and N, then its
+    degrees of 0- and 1-separation."""
+    return (
+        boolfn.is_c_reproducing(f, 0), boolfn.is_c_reproducing(f, 1),
+        boolfn.is_monotone(f), boolfn.is_self_dual(f),
+        boolfn.as_linear(f) is not None,
+        boolfn.as_disjunction(f) is not None,
+        boolfn.as_conjunction(f) is not None,
+        len(relevant_variables(f)) <= 1,
+        boolfn.separation_degree(f, 0), boolfn.separation_degree(f, 1),
+    )
 
 
-def _apply_chunks(np, fbits, axes, size):
-    """Apply one connective to every argument tuple drawn from the given axis
-    arrays, yielding the distinct result tables chunk by chunk.  Tuples are
-    enumerated through a flat index so memory stays bounded regardless of the
-    axis sizes.  `np` is the numpy module, imported by the caller."""
-    a = len(axes)
-    sizes = [ax.size for ax in axes]
-    total = 1
-    for s in sizes:
-        total *= s
-    for start in range(0, total, _CHUNK_ELEMS):
-        flat = np.arange(start, min(start + _CHUNK_ELEMS, total), dtype=np.int64)
-        args = []
-        rem = flat
-        for i in reversed(range(a)):  # last axis varies fastest
-            args.append((i, axes[i][rem % sizes[i]]))
-            rem = rem // sizes[i]
-        out = None
-        for r in range(size):
-            idx = None
-            for i, g in args:
-                bit = (((g >> r) & 1) << i).astype(np.uint32)
-                idx = bit if idx is None else idx + bit
-            vals = fbits[idx] << r
-            out = vals if out is None else out | vals
-        yield np.unique(out)
+def _base_properties(base: Base) -> tuple:
+    """The meet of the connectives' vectors: False < True, so a componentwise min."""
+    return tuple(map(min, zip(*map(_properties, base.functions))))
 
 
-def _closure_search(base: Base, k: int, targets: frozenset, stop_on_first: bool):
-    """Fixpoint of table composition at arity k, as a set of table ints.
+@functools.lru_cache(maxsize=None)
+def _covers(k: int, m: int) -> list:
+    """Sets of at most m masks whose union is all k positions, none redundant."""
+    top = (1 << k) - 1
+    union = lambda masks: functools.reduce(operator.or_, masks, 0)  # noqa: E731
+    sets = (c for size in range(1, m + 1) for c in itertools.combinations(range(1, top + 1), size))
+    return [c for c in sets if union(c) == top and all(union(c[:i] + c[i + 1 :]) != top for i in range(len(c)))]
 
-    Starts from the projections and the lifted 0-ary constants of the base,
-    then repeatedly applies every base connective to argument tuples that
-    touch the newest tables.  Stops early once the requested target tables
-    are found (all of them, or any one when `stop_on_first`), or when the
-    whole table universe is reached.  numpy is imported here, once per
-    search, so that importing the package does not load it.
-    """
-    import numpy as np
 
-    size = 1 << k
-    full = (1 << size) - 1
-    universe = 1 << size
-    tables = set()
-    for i in range(k):
-        tables.add((full // ((1 << (1 << i)) + 1)) << (1 << i))
-    for f in base.functions:
-        if f.arity == 0:
-            tables.add(full if f.table else 0)
-    found = set(targets) & tables
+def _disagreeing(x, point: int, step) -> int:
+    """Lanes whose value at some row point ^ s differs from step(prediction
+    at point ^ (s less its lowest bit), value at point ^ that bit)."""
+    predicted = [x[point]]
+    for s in range(1, len(x)):
+        predicted.append(step(predicted[s ^ s & -s], x[point ^ s & -s]))
+    return functools.reduce(operator.or_, (x[point ^ s] ^ p for s, p in enumerate(predicted)))
 
-    def finished():
-        return targets and (found == set(targets) or (stop_on_first and found))
 
-    if finished():
-        return tables, found
-    appliers = [f for f in base.functions if f.arity >= 1]
-    old = np.array([], dtype=np.uint32)
-    frontier = np.array(sorted(tables), dtype=np.uint32)
-    while frontier.size and len(tables) < universe:
-        current = np.concatenate([old, frontier])
-        discovered = set()
-        for f in appliers:
-            fbits = np.array([(f.table >> m) & 1 for m in range(f.rows)], dtype=np.uint32)
-            for j in range(f.arity):
-                axes = [old] * j + [frontier] + [current] * (f.arity - 1 - j)
-                if any(ax.size == 0 for ax in axes):
-                    continue
-                for chunk in _apply_chunks(np, fbits, axes, size):
-                    for t in chunk.tolist():
-                        if t in tables or t in discovered:
-                            continue
-                        discovered.add(t)
-                        if t in targets:
-                            found.add(t)
-                    if finished():
-                        tables |= discovered
-                        return tables, found
-        tables |= discovered
-        old = current
-        frontier = np.array(sorted(discovered), dtype=np.uint32)
-    return tables, found
+def _membership_word(props: tuple, k: int) -> int:
+    """Lane t is set when the k-ary table t lies in every class of `props`.
+    Row word r carries every table's value at row r, `nx` its complement, and
+    each class adds the lanes that violate it; nonnegative words keep the
+    big-int ops fast."""
+    rows = 1 << k
+    full = (1 << (1 << rows)) - 1
+    top = rows - 1
+    x = [variable_word(r, 0, 1 << rows) for r in range(rows)]
+    nx = [w ^ full for w in x]
+    r0, r1, monotone, self_dual, linear, disjunction, conjunction, unary, deg0, deg1 = props
+    bad = (x[0] if r0 else 0) | (nx[top] if r1 else 0)
+    if self_dual:
+        bad |= functools.reduce(operator.or_, (x[r] ^ nx[top ^ r] for r in range(rows // 2)))
+    if linear:
+        bad |= _disagreeing(x, 0, lambda p, v: p ^ v ^ x[0])
+    if unary:  # N lies in L, so linear is set too: at most one x_i may flip the table
+        flips = [x[1 << i] ^ x[0] for i in range(k)]
+        bad |= functools.reduce(operator.or_, (a & b for a, b in itertools.combinations(flips, 2)), 0)
+    if disjunction:
+        bad |= _disagreeing(x, 0, operator.or_)
+    if conjunction:
+        bad |= _disagreeing(x, top, operator.and_)
+    if monotone:
+        pairs = ((r, r | 1 << i) for i in range(k) for r in range(rows) if not r >> i & 1)
+        bad |= functools.reduce(operator.or_, (x[a] & nx[b] for a, b in pairs))
+    # outside S_c^m: some m or fewer rows mapped to c have non-c coordinates
+    # covering every position; an irredundant cover has at most k rows
+    for c, maps_to_c, degree in ((0, nx, deg0), (1, x, deg1)):
+        for cover in _covers(k, min(degree, k)):
+            bad |= functools.reduce(operator.and_, (maps_to_c[v ^ top * c] for v in cover))
+    return full ^ bad
+
+
+@functools.lru_cache(maxsize=None)
+def _functions_of(k: int, word: int) -> frozenset:
+    """The k-ary functions whose tables are the set lanes of `word`, cached so
+    that equal closures share one object; there are finitely many k-ary clones."""
+    return frozenset(
+        BooleanFunction("f_" + format(t, f"0{1 << k}b")[::-1], k, t)
+        for t, lane in enumerate(bin(word)[:1:-1])
+        if lane == "1"
+    )
 
 
 def _check_closure_arity(k: int) -> None:
@@ -196,34 +193,23 @@ def _check_closure_arity(k: int) -> None:
         raise ValueError(f"closure arity must lie in 1..{MAX_CLOSURE_ARITY}, got {k}")
 
 
-def closure_fixed_arity(base: Base, k: int) -> set:
-    """All k-ary functions expressible by base formulae over k fixed variables."""
+def closure_fixed_arity(base: Base, k: int) -> frozenset:
+    """All k-ary functions expressible by base formulae over k fixed variables:
+    the k-ary tables in every Post class that contains the base."""
     _check_closure_arity(k)
-    tables, _ = _closure_search(base, k, frozenset(), stop_on_first=False)
-    size = 1 << k
-    return {
-        BooleanFunction(
-            "f_" + "".join("1" if t >> j & 1 else "0" for j in range(size)), k, t
-        )
-        for t in tables
-    }
+    return _functions_of(k, _membership_word(_base_properties(base), k))
 
 
-def generators_in_closure(base: Base, generators, stop_on_first: bool = False) -> set:
-    """Which of the given functions the base can compose; with `stop_on_first`
-    the search may return a partial answer as soon as one is found."""
+def generators_in_closure(base: Base, generators) -> set:
+    """Which of the given functions the base can compose."""
     gens = tuple(generators)
-    k = max(1, max(g.arity for g in gens))
-    _check_closure_arity(k)
-    by_table = {}
-    for g in gens:
-        by_table.setdefault(_lift(g.table, g.arity, k), g)
-    _, found = _closure_search(base, k, frozenset(by_table), stop_on_first)
-    return {by_table[t] for t in found}
+    _check_closure_arity(max(1, max(g.arity for g in gens)))
+    base_props = _base_properties(base)
+    return {g for g in gens if all(p >= q for p, q in zip(_properties(g), base_props))}
 
 
 def contains_generator(base: Base, g: BooleanFunction) -> bool:
     """Is g a composition of base connectives (and projections)?"""
     if g.arity > MAX_CLOSURE_ARITY:
         raise ValueError(f"generator arity {g.arity} exceeds the closure cap {MAX_CLOSURE_ARITY}")
-    return bool(generators_in_closure(base, [g], stop_on_first=True))
+    return bool(generators_in_closure(base, [g]))

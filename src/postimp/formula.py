@@ -365,7 +365,10 @@ def variable_word(i: int, start: int, width: int) -> int:
     period = 1 << i
     if period >= width:
         return (1 << width) - 1 if start >> i & 1 else 0
-    return (((1 << width) - 1) // ((1 << period) + 1)) << period
+    word = ((1 << period) - 1) << period  # one period of 0s, then one of 1s
+    while word.bit_length() < width:
+        word |= word << word.bit_length()
+    return word
 
 
 def truth_table(phi: Formula, name: str = "f") -> BooleanFunction:

@@ -5,6 +5,8 @@ avoiding the library's bit-sliced and normal-form code paths.
 """
 
 import itertools
+import math
+import random
 
 from postimp.formula import App, Var
 
@@ -82,3 +84,63 @@ def semantic_formulas(base, names, max_depth):
                 node = App(f.name, tuple(n for _, n in combo))
                 reps.setdefault(naive_table(node, base, names), node)
     return {t: Formula.build(node, base) for t, node in reps.items()}
+
+
+def dichotomy_draws():
+    """The 200 random bases of acceptance criterion 2: one or two connectives
+    of arity 0-3 each, from a fixed seed."""
+    from postimp.boolfn import BooleanFunction
+    from postimp.formula import Base
+
+    rng = random.Random("acceptance:dichotomy")
+    draws = []
+    for _ in range(200):
+        fns = []
+        for i in range(rng.randint(1, 2)):
+            arity = rng.randint(0, 3)
+            fns.append(BooleanFunction(f"g{i}", arity, rng.randrange(1 << (1 << arity))))
+        draws.append(Base.of(*fns))
+    return draws
+
+
+def composition_closure(base, k):
+    """Tables of every k-ary function the base composes, by the fixpoint of
+    table composition: start from the projections and the lifted 0-ary
+    constants, then apply every connective to the argument tuples that touch
+    the newest tables until nothing new appears.  numpy does the applying;
+    argument tuples go through a flat index in bounded chunks."""
+    import numpy as np
+
+    chunk = 1 << 22
+    size = 1 << k
+    full = (1 << size) - 1
+    tables = {(full // ((1 << (1 << i)) + 1)) << (1 << i) for i in range(k)}
+    tables |= {full if f.table else 0 for f in base.functions if f.arity == 0}
+    appliers = [f for f in base.functions if f.arity >= 1]
+    old = np.array([], dtype=np.uint32)
+    frontier = np.array(sorted(tables), dtype=np.uint32)
+    while frontier.size and len(tables) < 1 << size:
+        current = np.concatenate([old, frontier])
+        discovered = set()
+        for f in appliers:
+            fbits = np.array([(f.table >> m) & 1 for m in range(f.rows)], dtype=np.uint32)
+            for j in range(f.arity):
+                axes = [old] * j + [frontier] + [current] * (f.arity - 1 - j)
+                sizes = [ax.size for ax in axes]
+                total = math.prod(sizes)
+                for start in range(0, total, chunk):
+                    rem = np.arange(start, min(start + chunk, total), dtype=np.int64)
+                    args = []
+                    for i in reversed(range(f.arity)):  # last axis varies fastest
+                        args.append((i, axes[i][rem % sizes[i]]))
+                        rem = rem // sizes[i]
+                    out = 0
+                    for r in range(size):
+                        idx = sum((((g >> r) & 1) << i).astype(np.uint32) for i, g in args)
+                        out = out | (fbits[idx] << r)
+                    discovered.update(np.unique(out).tolist())
+        discovered -= tables
+        tables |= discovered
+        old = current
+        frontier = np.array(sorted(discovered), dtype=np.uint32)
+    return tables

@@ -5,11 +5,12 @@ complete; every check carries an explicit wall-clock budget.
 """
 
 import itertools
+import json
 import random
 import sys
 import time
 
-from helpers import brute_consistent, naive_implies, satisfies_all, semantic_formulas
+from helpers import brute_consistent, dichotomy_draws, naive_implies, satisfies_all, semantic_formulas
 from postimp.boolfn import (
     AND2,
     AND_OR3,
@@ -29,6 +30,7 @@ from postimp.classify import (
     classify_base_single_premise,
     generators_in_closure,
 )
+from postimp.cli import main
 from postimp.decide import (
     decide_and_fragment,
     decide_linear,
@@ -121,17 +123,11 @@ def test_criterion_2_dichotomy_cross_validation():
         for arity in (0, 1, 2):  # includes all 16 binary singletons
             for table in range(1 << (1 << arity)):
                 bases.append((f"singleton a{arity} t{table}", Base.of(BooleanFunction("g", arity, table))))
-        rng = random.Random("acceptance:dichotomy")
-        while len(bases) < 22 + 200:
-            fns = []
-            for i in range(rng.randint(1, 2)):
-                arity = rng.randint(0, 3)
-                fns.append(BooleanFunction(f"g{i}", arity, rng.randrange(1 << (1 << arity))))
-            bases.append((f"random {len(bases)}", Base.of(*fns)))
+        bases += [(f"random {22 + i}", base) for i, base in enumerate(dichotomy_draws())]
         mismatches = []
         for label, base in bases:
             hard = classify_base(base).complexity is ImpClass.CONP_COMPLETE
-            found = bool(generators_in_closure(base, witnesses, stop_on_first=True))
+            found = bool(generators_in_closure(base, witnesses))
             if hard != found:
                 mismatches.append(label)
         assert not mismatches, mismatches
@@ -262,6 +258,17 @@ def test_wide_xor_chain_budget():
     assert not refuted.implies
     sigma = refuted.counterexample
     assert sum(sigma.values()) % 2 == 1 and sum(sigma[v] for v in names[:-1]) % 2 == 0
+
+
+def test_closure_arity_4_budget(capsys, tmp_path):
+    # every command finishes in bounded time: a complete base composes all
+    # 65536 quaternary functions
+    for name, text in (("and+not", "and 2 0001\nnot 1 10\n"), ("nand", "nand 2 1110\n")):
+        path = tmp_path / f"{name}.base"
+        path.write_text(text)
+        with budget(f"closure --arity 4 of {{{name}}}", 5.0):
+            assert main(["closure", "--base", str(path), "--arity", "4", "--format", "record"]) == 0
+            assert json.loads(capsys.readouterr().out)["count"] == 65536
 
 
 def _all_small_dnfs():

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,11 +24,11 @@ from postimp.boolfn import (
     dual,
     evaluate,
     is_c_reproducing,
-    is_c_separating,
     is_monotone,
     is_self_dual,
     read_functions,
     relevant_variables,
+    separation_degree,
     write_functions,
 )
 
@@ -74,9 +75,14 @@ def test_self_dual():
 
 
 def test_separating():
-    assert is_c_separating(OR_AND3, 0)
-    assert is_c_separating(OR2, 0)
-    assert not is_c_separating(XOR2, 0)
+    assert separation_degree(OR_AND3, 0) == math.inf
+    assert separation_degree(OR2, 0) == math.inf
+    assert separation_degree(XOR2, 0) == 0
+    # 0 exactly on the unit vectors: any two zeros share a 0, all three do not
+    assert separation_degree(BooleanFunction.from_bits("t", "10010111"), 0) == 2
+    # a constant has the degrees of its unary lift
+    assert separation_degree(TOP, 0) == separation_degree(BooleanFunction.from_bits("t", "11"), 0) == math.inf
+    assert separation_degree(TOP, 1) == separation_degree(BooleanFunction.from_bits("t", "11"), 1) == 0
 
 
 def test_relevant_variables():
@@ -119,13 +125,16 @@ def _slow_self_dual(f):
     )
 
 
-def _slow_separating(f, c):
+def _slow_separation_degree(f, c):
+    # fewest inputs mapped to c with no common coordinate equal to c, less one
     if f.arity == 0:
-        return False
-    return any(
-        all(a[i] == c for a in _rows(f.arity) if evaluate(f, a) == c)
-        for i in range(f.arity)
-    )
+        f = BooleanFunction(f.name, 1, 3 * f.table)
+    preimage = [a for a in _rows(f.arity) if evaluate(f, a) == c]
+    for size in range(1, len(preimage) + 1):
+        for subset in itertools.combinations(preimage, size):
+            if not any(all(a[i] == c for a in subset) for i in range(f.arity)):
+                return size - 1
+    return math.inf
 
 
 def _slow_relevant(f):
@@ -181,7 +190,7 @@ def test_exhaustive_property_sweep(arity):
         assert is_self_dual(f) == _slow_self_dual(f)
         for c in (0, 1):
             assert is_c_reproducing(f, c) == (evaluate(f, (c,) * arity) == c)
-            assert is_c_separating(f, c) == _slow_separating(f, c)
+            assert separation_degree(f, c) == _slow_separation_degree(f, c)
         assert relevant_variables(f) == _slow_relevant(f)
 
 

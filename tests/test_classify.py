@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from helpers import composition_closure, dichotomy_draws
 
 import postimp
 from postimp.boolfn import (
@@ -33,6 +34,8 @@ from postimp.classify import (
 from postimp.formula import Base
 
 XNOR2 = BooleanFunction.from_bits("xnor", "1001")
+IMP = BooleanFunction.from_bits("imp", "1011")  # x1 -> x2
+NOR2 = BooleanFunction.from_bits("nor", "1000")
 NXOR3 = BooleanFunction.from_bits("nxor3", "10010110")
 
 
@@ -99,7 +102,7 @@ def test_closure_includes_lifted_constants():
 
 
 def test_package_import_leaves_numpy_unloaded():
-    # only the closure engine needs numpy; it imports it on first use
+    # the package does not depend on numpy; only the test reference uses it
     src = os.path.dirname(os.path.dirname(os.path.abspath(postimp.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, postimp, postimp.cli; print('numpy' in sys.modules)"
@@ -165,7 +168,7 @@ def test_dichotomy_on_binary_singletons():
     for table in range(16):
         base = Base.of(BooleanFunction("g", 2, table))
         hard = classify_base(base).complexity is ImpClass.CONP_COMPLETE
-        found = generators_in_closure(base, witnesses, stop_on_first=True)
+        found = generators_in_closure(base, witnesses)
         assert hard == bool(found), f"binary table {table:04b}"
 
 
@@ -174,3 +177,28 @@ def test_generators_in_closure_full_report():
     assert found == {OR_AND3, AND_OR3, MAJ3}
     found = generators_in_closure(Base.of(OR2, BOT, TOP), [OR_AND3, AND_OR3, MAJ3])
     assert found == set()
+
+
+def test_membership_matches_composition():
+    # the composition fixpoint is the independent reference
+    singletons = [
+        Base.of(BooleanFunction("g", arity, table))
+        for arity in (0, 1, 2, 3)
+        for table in range(1 << (1 << arity))
+    ]
+    small = singletons[:22]  # arity <= 2
+    draws = [b for b in dichotomy_draws() if all(f.arity < 3 for f in b.functions)]
+    rng = random.Random("closure:ternary")
+    ternary = [Base.of(BooleanFunction("g", 3, rng.randrange(256))) for _ in range(16)]
+    cases = [(base, k) for base in singletons for k in (1, 2)]
+    cases += [(base, 3) for base in small + draws + ternary]
+    cases += [(base, 4) for base in small if base.functions[0].bits() not in (NAND2.bits(), NOR2.bits())]
+    for base, k in cases:
+        got = {f.table for f in closure_fixed_arity(base, k)}
+        assert got == composition_closure(base, k), (base.functions, k)
+
+
+def test_constants_have_the_classes_of_their_lift():
+    # top is 0-separating like its unary lift, so it adds nothing to implication
+    for k in (3, 4):
+        assert closure_fixed_arity(Base.of(IMP, TOP), k) == closure_fixed_arity(Base.of(IMP), k)

@@ -161,6 +161,16 @@ def test_evaluate_block_matches_scalar(node):
         assert word >> j & 1 == evaluate(phi, sigma)
 
 
+def test_variable_word_matches_per_lane_reference():
+    # lane j of the word over assignments start..start+width-1 carries bit i of start + j
+    for w in range(17):
+        width = 1 << w
+        for start in (0, 0xACA69 >> w << w):
+            for i in range(20):
+                lanes = "".join(str((start + j) >> i & 1) for j in reversed(range(width)))
+                assert variable_word(i, start, width) == int(lanes, 2), (i, start, width)
+
+
 def test_truth_table():
     assert truth_table(parse_formula("x", BASIC)).bits() == "01"
     assert truth_table(parse_formula("xor3(x, y, z)", LIN)).table == XOR3.table
