@@ -30,8 +30,8 @@ class BooleanFunction:
     table: int
 
     def __post_init__(self):
-        if not self.name.isidentifier():
-            raise ValueError(f"function name must be an identifier, got {self.name!r}")
+        if not (self.name.isascii() and self.name.isidentifier()):
+            raise ValueError(f"function name must be an ASCII identifier, got {self.name!r}")
         if not 0 <= self.arity <= MAX_ARITY:
             raise ValueError(f"arity must lie in 0..{MAX_ARITY}, got {self.arity}")
         if not 0 <= self.table < (1 << self.rows):

@@ -234,3 +234,14 @@ def test_function_file_comments_and_errors(tmp_path):
     bad.write_text("or two 0111\n")
     with pytest.raises(ValueError, match="integer"):
         read_functions(bad)
+
+
+def test_function_names_are_ascii_identifiers(tmp_path):
+    # the formula tokenizer reads ASCII names only, so any other name would
+    # print as formula text that does not parse back
+    with pytest.raises(ValueError, match="ASCII identifier"):
+        BooleanFunction("\u00e9", 0, 1)
+    bad = tmp_path / "bad.base"
+    bad.write_text("ok 0 1\n\u00e9 0 1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.base:2: .*ASCII identifier"):
+        read_functions(bad)
