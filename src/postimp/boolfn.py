@@ -23,7 +23,7 @@ class ArityError(ValueError):
         self.actual = actual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BooleanFunction:
     name: str
     arity: int

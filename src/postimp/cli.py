@@ -188,9 +188,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _emit(text: str, status: int) -> int:
+    """Print the result and return the exit status; a reader that closed the
+    pipe early gets no traceback, and the status becomes 1."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; send that to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    status = 0
     try:
         if args.command == "classify":
             record, human = run_classify(args)
@@ -202,10 +216,8 @@ def main(argv=None) -> int:
             record, human = run_closure(args)
         else:
             record, human, failures = run_selftest_command(args)
-            print(_record(record) if args.out_format == "record" else human)
-            return 1 if failures else 0
+            status = 1 if failures else 0
     except (ValueError, ArityError, ParseError, FragmentError, VariableCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_record(record) if args.out_format == "record" else human)
-    return 0
+    return _emit(_record(record) if args.out_format == "record" else human, status)

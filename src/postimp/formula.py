@@ -6,10 +6,14 @@ accepts an explicit variable order so that premises and a conclusion can
 share one index.  All four extractors (linear, disjunctive, conjunctive and
 unary) read the n+1 probe points off one bit-sliced `evaluate_block` pass,
 `_flip_scan`, and return the coefficients as an int mask; a unary formula
-gets the linear form with at most one coefficient.  All evaluation walks are
-iterative, so formula depth is bounded only by memory.
+gets the linear form with at most one coefficient.  `evaluate_block` applies
+each connective through its `connective_plan`, compiled once per truth table
+into the cheapest of its algebraic normal form, its minterms and its
+complemented maxterms.  All evaluation walks are iterative, so formula depth
+is bounded only by memory.
 """
 
+import functools
 import os
 import re
 from dataclasses import dataclass
@@ -76,12 +80,12 @@ class Base:
         return tuple(f.name for f in self.functions)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App:
     fn: str
     args: tuple = ()
@@ -127,7 +131,7 @@ def connective_count(root: Node) -> int:
     return sum(1 for node in iter_nodes(root) if isinstance(node, App))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Formula:
     root: Node
     base: Base
@@ -317,14 +321,16 @@ def evaluate(phi: Formula, sigma: Sequence[int], variables=None) -> int:
 def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=None) -> int:
     """Bit-sliced evaluation: lane k of each word holds assignment k.
 
-    Applies each connective lane-wise through its truth table and returns the
-    result word; `width` is the number of live lanes.
+    Applies each connective lane-wise through its compiled `connective_plan`
+    and returns the result word; `width` is the number of live lanes.  Every
+    intermediate word stays within the width's mask, so none is negative.
     """
     order = _resolve_order(phi, variables)
     if len(words) < len(order):
         raise ValueError(f"{len(words)} words supplied for {len(order)} variables")
     env = dict(zip(order, words))
     mask = (1 << width) - 1
+    plans = {}
     values = []
     stack = [(phi.root, False)]
     while stack:
@@ -336,24 +342,85 @@ def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=Non
             stack.append((node, True))
             stack.extend((a, False) for a in reversed(node.args))
             continue
-        f = phi.base[node.fn]
-        if f.arity:
-            args = values[-f.arity :]
-            del values[-f.arity :]
+        entry = plans.get(node.fn)
+        if entry is None:
+            f = phi.base[node.fn]
+            entry = plans[node.fn] = (f.arity, connective_plan(f.arity, f.table))
+        arity, plan = entry
+        if arity:
+            args = values[-arity:]
+            del values[-arity:]
         else:
-            args = []
-        acc = 0
-        for m in range(f.rows):
-            if not f.table >> m & 1:
-                continue
-            term = mask
-            for i, w in enumerate(args):
-                term &= w if m >> i & 1 else ~w & mask
+            args = ()
+        values.append(_apply_plan(plan, args, mask))
+    return values[0]
+
+
+def _apply_plan(plan, args: Sequence[int], mask: int) -> int:
+    """Evaluate a `connective_plan` on argument words under `mask`."""
+    invert, terms = plan
+    acc = 0
+    for pos, neg in terms:
+        if pos:
+            term = args[pos[0]]
+            for i in pos[1:]:
                 if not term:
                     break
-            acc |= term
-        values.append(acc)
-    return values[0]
+                term &= args[i]
+        else:
+            term = mask
+        for i in neg:
+            if not term:
+                break
+            term &= args[i] ^ mask
+        acc ^= term
+    return acc ^ mask if invert else acc
+
+
+@functools.lru_cache(maxsize=256)
+def connective_plan(arity: int, table: int) -> tuple:
+    """The cheapest bit-sliced form of a connective, as `(invert, terms)`.
+
+    Each term is a pair (positive, negated) of argument-index tuples standing
+    for the AND of the positive arguments and of the complements of the
+    negated ones; the connective is the XOR of its terms, complemented when
+    `invert` is set.
+    Three forms qualify: the algebraic normal form (its monomials, with the
+    constant coefficient as `invert`), the minterms, and the complemented
+    maxterms (the minterms of the negation).  Minterms are pairwise disjoint,
+    so XOR joins them as OR would.  Each form's cost in big-int operations of
+    `_apply_plan` is counted from the table, and only the cheapest is built.
+    """
+    rows = 1 << arity
+    cols = [variable_word(i, 0, rows) for i in range(arity)]
+    anf = table
+    for i, col in enumerate(cols):
+        anf ^= anf << (1 << i) & col  # Moebius transform over variable i
+    const = anf & 1
+
+    def cost(members: int, negate: bool, invert: int) -> int:
+        # a positive factor costs an AND, but a term's first one stands in
+        # for the XOR that joins the term; a term with none still pays that
+        # XOR; a negated factor costs an XOR and an AND
+        positives = sum((members & col).bit_count() for col in cols)
+        negated = members.bit_count() * arity - positives if negate else 0
+        return positives + (members & 1) + 2 * negated + invert
+
+    # (rows or monomials that become terms, negate the absent arguments, invert)
+    forms = [
+        (anf ^ const, False, const),
+        (table, True, 0),
+        (table ^ ((1 << rows) - 1), True, 1),
+    ]
+    members, negate, invert = min(forms, key=lambda form: cost(*form))
+    return invert, tuple(
+        (
+            tuple(i for i in range(arity) if m >> i & 1),
+            tuple(i for i in range(arity) if not m >> i & 1) if negate else (),
+        )
+        for m, bit in enumerate(reversed(format(members, "b")))
+        if bit == "1"
+    )
 
 
 def variable_word(i: int, start: int, width: int) -> int:
@@ -448,7 +515,7 @@ def extract_unary_nf(phi: Formula, variables=None) -> LinearNormalForm:
     return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """Premises and a conclusion over one base, with a joint variable index."""
 

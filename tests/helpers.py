@@ -22,6 +22,43 @@ def naive_value(node, base, env):
     return f.table >> index & 1
 
 
+def lane_reference(phi, words, width, order):
+    """Bit-sliced evaluation done lane by lane: lane j of the result is the
+    tree evaluated on bit j of each variable's word."""
+    out = 0
+    for j in range(width):
+        env = {name: w >> j & 1 for name, w in zip(order, words)}
+        out |= naive_value(phi.root, phi.base, env) << j
+    return out
+
+
+def plan_forms(arity, table):
+    """The algebraic normal form, the minterms and the complemented
+    maxterms of a table, each as `(invert, terms)` with (positive, negated)
+    index tuples, derived row by row."""
+    rows = range(1 << arity)
+
+    def bits(m, value):
+        return tuple(i for i in range(arity) if (m >> i & 1) == value)
+
+    anf = [m for m in rows if sum(table >> s & 1 for s in rows if s & m == s) % 2]
+    ones = [m for m in rows if table >> m & 1]
+    zeros = [m for m in rows if not table >> m & 1]
+    return {
+        "anf": (int(0 in anf), tuple((bits(m, 1), ()) for m in anf if m)),
+        "minterms": (0, tuple((bits(m, 1), bits(m, 0)) for m in ones)),
+        "maxterms": (1, tuple((bits(m, 1), bits(m, 0)) for m in zeros)),
+    }
+
+
+def plan_cost(plan):
+    """Big-int operations a plan takes when no term vanishes early: the ANDs
+    between positive factors, an XOR and an AND per negated factor, one XOR
+    per term and one for the inversion."""
+    invert, terms = plan
+    return invert + sum(max(len(pos) - 1, 0) + 2 * len(neg) + 1 for pos, neg in terms)
+
+
 def naive_implies(inst):
     """(implies?, falsifying environment or None) by full enumeration."""
     for bits in itertools.product((0, 1), repeat=len(inst.variables)):

@@ -46,8 +46,11 @@ from postimp.formula import (
     Instance,
     Var,
     connective_count,
+    connective_plan,
     depth,
+    evaluate_block,
     extract_linear_nf,
+    variable_word,
 )
 from postimp.gf2 import Gf2System, is_consistent, solve
 from postimp.reductions import (
@@ -258,6 +261,24 @@ def test_wide_xor_chain_budget():
     assert not refuted.implies
     sigma = refuted.counterexample
     assert sum(sigma.values()) % 2 == 1 and sum(sigma[v] for v in names[:-1]) % 2 == 0
+
+
+def test_wide_connective_budget():
+    # a 16-ary xor is one monomial per argument in its algebraic normal form;
+    # expanding it into minterms would take 32768 terms per application
+    arity = 16
+    names = tuple(f"x{i}" for i in range(1, arity + 1))
+    parity = 0
+    for m in range(1 << arity):
+        parity |= (m.bit_count() & 1) << m
+    base = Base.of(BooleanFunction("xor16", arity, parity))
+    phi = Formula.build(App("xor16", tuple(Var(v) for v in names)), base)
+    width = 1 << arity
+    words = [variable_word(i, 0, width) for i in range(arity)]
+    connective_plan.cache_clear()
+    with budget("16-ary xor, ten calls of 2^16 lanes, plan included", 3.0):
+        for _ in range(10):
+            assert evaluate_block(phi, words, width) == parity
 
 
 def test_closure_arity_4_budget(capsys, tmp_path):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import postimp
 from postimp.cli import main
 
 
@@ -222,3 +226,22 @@ def test_decide_record_bytes_are_stable(capsys, tmp_path, linear_base_file):
     )
     code, out, _ = run(capsys, "decide", "--instance", str(disj), "--format", "record")
     assert code == 0 and out == GOLDEN_OR_RECORD
+
+
+def test_closed_stdout_ends_quietly(base_file):
+    # the record is far larger than a pipe buffer, so the write meets the
+    # reader's closed end
+    src = os.path.dirname(os.path.dirname(os.path.abspath(postimp.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "postimp", "closure", "--base", str(base_file), "--arity", "4", "--format", "record"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    head = proc.stdout.read(40)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert head == b'{"arity": 4, "count": 65536, "functions"'
+    assert err == b""

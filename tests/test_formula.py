@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import naive_table, naive_value
+from helpers import lane_reference, naive_table, naive_value, plan_cost, plan_forms
 from postimp.boolfn import (
     AND2,
     BOT,
@@ -18,6 +18,7 @@ from postimp.boolfn import (
 )
 from postimp.formula import (
     App,
+    _apply_plan,
     Base,
     Formula,
     FragmentError,
@@ -34,9 +35,12 @@ from postimp.formula import (
     parse_formula,
     read_instance,
     truth_table,
+    connective_plan,
     variable_word,
     write_instance,
 )
+from postimp.reductions import MAJORITY_BASE, MONOTONE_BASE
+from postimp.selftest import FRAGMENT_BASES
 
 BASIC = Base.of(AND2, OR2, NOT, TOP, BOT)
 LIN = Base.of(XOR2, XOR3, TOP, BOT)
@@ -169,6 +173,85 @@ def test_variable_word_matches_per_lane_reference():
             for i in range(20):
                 lanes = "".join(str((start + j) >> i & 1) for j in reversed(range(width)))
                 assert variable_word(i, start, width) == int(lanes, 2), (i, start, width)
+
+
+def _plan_tables():
+    # every table of arity 0-3, and seeded ones of arity 4-6
+    for arity in range(4):
+        for table in range(1 << (1 << arity)):
+            yield arity, table
+    rng = random.Random("plan-tables")
+    for arity in (4, 5, 6):
+        for _ in range(32):
+            yield arity, rng.getrandbits(1 << arity)
+
+
+def test_plan_applied_to_the_rows_gives_the_table():
+    for arity, table in _plan_tables():
+        rows = 1 << arity
+        words = [variable_word(i, 0, rows) for i in range(arity)]
+        assert _apply_plan(connective_plan(arity, table), words, (1 << rows) - 1) == table, (arity, table)
+
+
+class _CountedWord(int):
+    """An int that counts the ANDs and XORs it takes part in."""
+
+    ops = [0]
+
+    def __and__(self, other):
+        self.ops[0] += 1
+        return _CountedWord(int(self) & int(other))
+
+    def __xor__(self, other):
+        self.ops[0] += 1
+        return _CountedWord(int(self) ^ int(other))
+
+    __rand__ = __and__
+    __rxor__ = __xor__
+
+
+def test_plan_is_the_cheapest_form():
+    for arity, table in _plan_tables():
+        plan = connective_plan(arity, table)
+        forms = plan_forms(arity, table)
+        assert plan in forms.values(), (arity, table)
+        assert all(plan_cost(plan) <= plan_cost(form) for form in forms.values()), (arity, table)
+        # no term vanishes on the full rows, so the applier spends the whole cost
+        rows = 1 << arity
+        words = [_CountedWord(variable_word(i, 0, rows)) for i in range(arity)]
+        _CountedWord.ops[0] = 0
+        _apply_plan(plan, words, _CountedWord((1 << rows) - 1))
+        assert _CountedWord.ops[0] == plan_cost(plan), (arity, table)
+
+
+_LANE_BASES = {
+    " ".join(b.names): b
+    for b in [*(b for bases in FRAGMENT_BASES.values() for b in bases), MONOTONE_BASE, MAJORITY_BASE]
+}
+_LANE_BASES["and xor top"] = Base.of(AND2, XOR2, TOP)
+# plans with negated factors: minterms of nor3 and of x1 and not x2 and not x3,
+# complemented maxterms of or3
+_LANE_BASES["nor3 or3 sole"] = Base.of(
+    BooleanFunction("nor3", 3, 0b00000001),
+    BooleanFunction("or3", 3, 0b11111110),
+    BooleanFunction("sole", 3, 0b00000010),
+)
+
+
+@pytest.mark.parametrize("names", sorted(_LANE_BASES))
+def test_evaluate_block_matches_lane_reference(names):
+    # words carry bits beyond the width, which the result must not show
+    base = _LANE_BASES[names]
+    rng = random.Random(f"lanes-{names}")
+    order = tuple(f"v{i}" for i in range(1, 7))
+    for width in (1, 2, 3, 63, 64, 65, 1000, 1 << 10):
+        for _ in range(2):
+            phi = Formula.build(_random_formula(rng, base, order, 5), base)
+            words = [rng.getrandbits(width + 3) for _ in order]
+            assert evaluate_block(phi, words, width, order) == lane_reference(phi, words, width, order), (
+                width,
+                format_formula(phi),
+            )
 
 
 def test_truth_table():
