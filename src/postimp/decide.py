@@ -4,8 +4,11 @@ Each tractable fragment gets the algorithm its normal forms admit: linear
 instances become a parity equation system, disjunctive instances a coefficient
 dominance check, conjunctive instances a coverage check, unary instances a
 literal comparison, and single linear premises a three-way coefficient rule.
-The general case enumerates assignments with bit-sliced evaluation; the same
-enumerator doubles as the reference oracle for everything else.
+The general case enumerates assignments with bit-sliced evaluation, in blocks
+of 2^16 lanes; the same enumerator doubles as the reference oracle for
+everything else.  An oracle sweep of more than one block compiles the
+instance once into a `Program` and replays it per block; a one-block sweep
+walks each formula with `evaluate_block`.
 """
 
 import enum
@@ -16,6 +19,7 @@ from .classify import Fragment, classify_base, classify_base_single_premise
 from .formula import (
     Formula,
     Instance,
+    Program,
     evaluate_block,
     extract_and_nf,
     extract_linear_nf,
@@ -58,7 +62,13 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     """Exhaustive check of all assignments, 2^min(n,16) lanes at a time.
 
     Reports the lexicographically least counterexample (x1 is the least
-    significant bit of the assignment index).
+    significant bit of the assignment index).  Premises are evaluated one by
+    one, and a block stops at the first premise that leaves no lane.  With
+    more than one block, the premises and the conclusion are compiled once
+    into a `Program`.  Its numbering computes a subterm shared by several
+    formulae once per block, and it releases each word after its last
+    reader.  A one-block sweep walks each formula with `evaluate_block`
+    instead: there a compile costs more than it saves.
     """
     n = len(inst.variables)
     if n > max_vars:
@@ -66,20 +76,27 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     wbits = min(n, _BLOCK_BITS)
     width = 1 << wbits
     mask = (1 << width) - 1
-    low_words = [variable_word(i, 0, width) for i in range(min(n, wbits))]
+    formulas = (*inst.premises, inst.conclusion)
+    if n > wbits:
+        sweep = Program.compile(formulas, inst.variables).replay
+    else:
+        def sweep(words, width):
+            return (evaluate_block(phi, words, width, inst.variables) for phi in formulas)
+    low_words = [variable_word(i, 0, width) for i in range(wbits)]
     for block in range(1 << (n - wbits)):
         start = block << wbits
         words = low_words + [
             mask if start >> i & 1 else 0 for i in range(wbits, n)
         ]
+        results = sweep(words, width)
         sat = mask
-        for psi in inst.premises:
-            sat &= evaluate_block(psi, words, width, inst.variables)
+        for _ in inst.premises:
+            sat &= next(results)
             if not sat:
                 break
         if not sat:
             continue
-        bad = sat & ~evaluate_block(inst.conclusion, words, width, inst.variables) & mask
+        bad = sat & (next(results) ^ mask)
         if bad:
             index = start + (bad & -bad).bit_length() - 1
             sigma = {name: index >> i & 1 for i, name in enumerate(inst.variables)}

@@ -9,8 +9,13 @@ unary) read the n+1 probe points off one bit-sliced `evaluate_block` pass,
 gets the linear form with at most one coefficient.  `evaluate_block` applies
 each connective through its `connective_plan`, compiled once per truth table
 into the cheapest of its algebraic normal form, its minterms and its
-complemented maxterms.  All evaluation walks are iterative, so formula depth
-is bounded only by memory.
+complemented maxterms.  `Program` compiles several formulae over one
+variable order into one straight-line program of plan applications:
+equal subterms are numbered by (connective, argument slots) into one step,
+and each word is released after its last reader.  Compiling costs more than
+one walk, so only a caller that evaluates the same formulae on many blocks
+(the oracle above 2^16 assignments) compiles.  All evaluation walks are
+iterative, so formula depth is bounded only by memory.
 """
 
 import functools
@@ -354,6 +359,108 @@ def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=Non
             args = ()
         values.append(_apply_plan(plan, args, mask))
     return values[0]
+
+
+@dataclass(frozen=True, slots=True)
+class Program:
+    """Formulae over one base and one variable order, compiled into one
+    straight-line program.
+
+    Slots 0..n-1 hold the variable words, and slot n+k holds the result of
+    step k.  A step is `(plan, argument slots, released slots)`, in
+    post-order.  Steps are numbered by (connective name, argument slots), so
+    each distinct subterm gets one step, whether its copies are one shared
+    object or were built apart.  `segments` holds one entry per formula, in
+    order: its steps, its root slot, and the slots released once the root
+    is read.  Each slot is released after its last reader, so only words
+    that are still to be read stay alive.
+    """
+
+    variables: tuple
+    segments: tuple
+
+    @classmethod
+    def compile(cls, formulas, variables) -> "Program":
+        n = len(variables)
+        slot_of = {name: i for i, name in enumerate(variables)}
+        numbering = {}  # connective name -> (plan, {argument slots: slot})
+        seen = {}  # id(node) -> slot, so a shared subtree object is walked once
+        step_plans, step_args = [], []
+        ends = []  # (steps so far, root slot) after each formula
+        for phi in formulas:
+            out = []
+            stack = [(phi.root, False)]
+            while stack:
+                node, expanded = stack.pop()
+                slot = seen.get(id(node))
+                if slot is not None:
+                    out.append(slot)
+                    continue
+                if isinstance(node, Var):
+                    if node.name not in slot_of:
+                        raise ValueError(f"variable order is missing {node.name!r}")
+                    slot = slot_of[node.name]
+                elif not expanded:
+                    stack.append((node, True))
+                    stack.extend((a, False) for a in reversed(node.args))
+                    continue
+                else:
+                    arity = len(node.args)
+                    args = tuple(out[len(out) - arity :])
+                    del out[len(out) - arity :]
+                    entry = numbering.get(node.fn)
+                    if entry is None:
+                        f = phi.base[node.fn]
+                        entry = numbering[node.fn] = (connective_plan(f.arity, f.table), {})
+                    plan, slots = entry
+                    slot = slots.get(args)
+                    if slot is None:
+                        slot = slots[args] = n + len(step_args)
+                        step_plans.append(plan)
+                        step_args.append(args)
+                seen[id(node)] = slot
+                out.append(slot)
+            ends.append((len(step_args), out[0]))
+        # walking backwards, the first reader of a slot is its last one
+        read = set()
+        segments = []
+        for j in reversed(range(len(ends))):
+            stop, root = ends[j]
+            start = ends[j - 1][0] if j else 0
+            release = () if root in read else (root,)
+            read.add(root)
+            body = []
+            for k in reversed(range(start, stop)):
+                args = step_args[k]
+                free = tuple(a for a in args if a not in read)
+                read.update(args)
+                # a step that releases all its arguments shares their tuple
+                body.append((step_plans[k], args, args if free == args else free))
+            body.reverse()
+            segments.append((tuple(body), root, release))
+        segments.reverse()
+        return cls(tuple(variables), tuple(segments))
+
+    def replay(self, words: Sequence[int], width: int):
+        """Yield each formula's word as `evaluate_block` returns it, in order.
+
+        Lane k of each word holds assignment k, as in `evaluate_block`.  A
+        caller that stops early skips the steps of the formulae after it.
+        """
+        n = len(self.variables)
+        if len(words) < n:
+            raise ValueError(f"{len(words)} words supplied for {n} variables")
+        mask = (1 << width) - 1
+        values = [w & mask if w >> width else w for w in words[:n]]
+        for body, root, release in self.segments:
+            for plan, args, free in body:
+                values.append(_apply_plan(plan, [values[a] for a in args], mask))
+                for a in free:
+                    values[a] = None
+            word = values[root]
+            for a in release:
+                values[a] = None
+            yield word
 
 
 def _apply_plan(plan, args: Sequence[int], mask: int) -> int:

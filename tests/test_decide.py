@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -19,8 +20,19 @@ from postimp.decide import (
     decide_unary_fragment,
     dispatch,
 )
-from postimp.formula import Base, FragmentError, Instance, evaluate, parse_formula
-from postimp.selftest import FRAGMENT_BASES, random_instance
+from postimp import formula
+from postimp.formula import (
+    Base,
+    FragmentError,
+    Instance,
+    Program,
+    evaluate,
+    evaluate_block,
+    parse_formula,
+    variable_word,
+)
+from postimp.reductions import MONOTONE_BASE, DnfInput, reduce_tautdnf_d2, reduce_tautdnf_monotone
+from postimp.selftest import FRAGMENT_BASES, random_formula, random_instance
 
 BASIC = Base.of(AND2, OR2, NOT, TOP, BOT)
 V = Base.of(OR2, TOP, BOT)
@@ -273,3 +285,115 @@ def test_decision_shape():
     assert isinstance(d, Decision)
     assert d.fragment_used is Fragment.GENERAL
     assert "assignment" in d.detail
+
+
+def multi_block_instances():
+    """Seeded instances over exactly 17 or 18 variables, so the oracle sweeps
+    two to four 2^16-lane blocks: random formulae over the general self-test
+    bases and the monotone base, then DNF-tautology reductions, then one
+    instance whose premises vanish on all of block 0."""
+    rng = random.Random("oracle:multi-block")
+    out = []
+    for base in (*FRAGMENT_BASES["general"], MONOTONE_BASE):
+        found = 0
+        while found < 4:
+            names = [f"x{i + 1}" for i in range(rng.choice((17, 18)))]
+            premises = [random_formula(rng, base, names, 7) for _ in range(rng.randint(1, 3))]
+            instance = Instance.build(base, premises, random_formula(rng, base, names, 7))
+            if len(instance.variables) == len(names):
+                out.append(instance)
+                found += 1
+    for reduce, num_vars in ((reduce_tautdnf_monotone, 9), (reduce_tautdnf_d2, 8)):
+        for tautology in (True, False):
+            while True:
+                terms = [
+                    [rng.choice((1, -1)) * v for v in rng.sample(range(1, num_vars + 1), rng.randint(1, 3))]
+                    for _ in range(3 * num_vars)
+                ]
+                if tautology:
+                    terms += [[1], [-1, 2], [-1, -2]]
+                dnf = DnfInput.build(terms, num_vars)
+                if dnf.is_tautology() == tautology:
+                    break
+            out.append(reduce(dnf))
+    # x17 is 0 on every lane of block 0, so the premise sweep there stops at x17
+    nand = lambda a, b: f"not(and({a}, {b}))"
+    low = [f"x{i}" for i in range(1, 17)]
+    while len(low) > 1:
+        low = [nand(low[i], low[i + 1]) for i in range(0, len(low), 2)]
+    out.append(inst(Base.of(AND2, NOT), [low[0], "x17", "not(and(x2, x3))"], "not(and(x17, and(x3, x5)))"))
+    return out
+
+
+# (implies, index of the least counterexample, detail), from the block-by-block
+# walk of every formula before the oracle compiled multi-block sweeps
+MULTI_BLOCK_DECISIONS = [
+    (True, None, 'all 262144 assignments checked'),  # 18 vars
+    (True, None, 'all 262144 assignments checked'),  # 18 vars
+    (False, 1823, 'assignment 1823 satisfies every premise and falsifies the conclusion'),  # 17 vars, block 0
+    (True, None, 'all 262144 assignments checked'),  # 18 vars
+    (False, 687, 'assignment 687 satisfies every premise and falsifies the conclusion'),  # 18 vars, block 0
+    (False, 511, 'assignment 511 satisfies every premise and falsifies the conclusion'),  # 18 vars, block 0
+    (False, 855, 'assignment 855 satisfies every premise and falsifies the conclusion'),  # 17 vars, block 0
+    (False, 319, 'assignment 319 satisfies every premise and falsifies the conclusion'),  # 17 vars, block 0
+    (False, 16389, 'assignment 16389 satisfies every premise and falsifies the conclusion'),  # 18 vars, block 0
+    (False, 7431, 'assignment 7431 satisfies every premise and falsifies the conclusion'),  # 17 vars, block 0
+    (False, 365, 'assignment 365 satisfies every premise and falsifies the conclusion'),  # 17 vars, block 0
+    (False, 80231, 'assignment 80231 satisfies every premise and falsifies the conclusion'),  # 18 vars, block 1
+    (True, None, 'all 262144 assignments checked'),  # 18 vars
+    (False, 153946, 'assignment 153946 satisfies every premise and falsifies the conclusion'),  # 18 vars, block 2
+    (True, None, 'all 262144 assignments checked'),  # 18 vars
+    (False, 91477, 'assignment 91477 satisfies every premise and falsifies the conclusion'),  # 18 vars, block 1
+    (False, 65596, 'assignment 65596 satisfies every premise and falsifies the conclusion'),  # 17 vars, block 1
+]
+
+
+def test_multi_block_oracle_decisions():
+    instances = multi_block_instances()
+    assert len(instances) == len(MULTI_BLOCK_DECISIONS)
+    for instance, (implies, index, detail) in zip(instances, MULTI_BLOCK_DECISIONS):
+        assert len(instance.variables) in (17, 18)
+        d = decide_oracle(instance)
+        assert (d.implies, d.fragment_used, d.detail) == (implies, Fragment.GENERAL, detail)
+        if index is None:
+            assert d.counterexample is None
+        else:
+            expected = [(name, index >> i & 1) for i, name in enumerate(instance.variables)]
+            assert list(d.counterexample.items()) == expected
+            check_counterexample(instance, d)
+
+
+def test_multi_block_oracle_skips_a_block_its_premises_rule_out(monkeypatch):
+    instance = multi_block_instances()[-1]
+    assert instance.variables[16] == "x17"
+    words = [variable_word(i, 0, 1 << 16) for i in range(16)] + [0]
+    assert evaluate_block(instance.premises[1], words, 1 << 16, instance.variables) == 0
+    applied = []
+    apply_plan = formula._apply_plan
+    monkeypatch.setattr(formula, "_apply_plan", lambda *args: applied.append(1) or apply_plan(*args))
+    d = decide_oracle(instance)
+    assert not d.implies
+    index = sum(d.counterexample[name] << i for i, name in enumerate(instance.variables))
+    assert index >> 16 == 1
+    # block 0 stops at the second premise; block 1 runs every formula
+    program = Program.compile((*instance.premises, instance.conclusion), instance.variables)
+    (first, _, _), (second, _, _), (third, _, _), (conclusion, _, _) = program.segments
+    assert second == () and third and conclusion
+    assert len(applied) == 2 * len(first) + len(third) + len(conclusion)
+
+
+def test_multi_block_oracle_memory():
+    # 22 variables and about 1840 connectives: 64 blocks, over a program whose
+    # words are released after their last reader
+    rng = random.Random("oracle:memory")
+    terms = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, 11), 3)] for _ in range(600)]
+    instance = reduce_tautdnf_d2(DnfInput.build(terms, 10))
+    assert len(instance.variables) == 22
+    tracemalloc.start()
+    try:
+        d = decide_oracle(instance)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.implies
+    assert peak < 2_000_000

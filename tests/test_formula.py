@@ -24,7 +24,9 @@ from postimp.formula import (
     FragmentError,
     Instance,
     ParseError,
+    Program,
     Var,
+    connective_count,
     evaluate,
     evaluate_block,
     extract_and_nf,
@@ -32,6 +34,7 @@ from postimp.formula import (
     extract_or_nf,
     extract_unary_nf,
     format_formula,
+    iter_nodes,
     parse_formula,
     read_instance,
     truth_table,
@@ -39,7 +42,7 @@ from postimp.formula import (
     variable_word,
     write_instance,
 )
-from postimp.reductions import MAJORITY_BASE, MONOTONE_BASE
+from postimp.reductions import MAJORITY_BASE, MONOTONE_BASE, DnfInput, reduce_tautdnf_d2
 from postimp.selftest import FRAGMENT_BASES
 
 BASIC = Base.of(AND2, OR2, NOT, TOP, BOT)
@@ -252,6 +255,97 @@ def test_evaluate_block_matches_lane_reference(names):
                 width,
                 format_formula(phi),
             )
+
+
+
+def _shared_formulas(rng, base, names, count):
+    """`count` formulae whose applications take their arguments from a pool
+    of earlier subtrees, so one subtree object recurs within a formula and
+    across formulae; each formula then comes again, reparsed, as equal
+    subterms built apart."""
+    pool = [Var(name) for name in names] + [App(f.name) for f in base.functions if f.arity == 0]
+    size = {id(node): 1 for node in pool}
+    inner = [f for f in base.functions if f.arity >= 1]
+    while len(pool) < len(names) + 40:
+        f = rng.choice(inner)
+        args = tuple(rng.choice(pool[-6:] if rng.random() < 0.5 else pool) for _ in range(f.arity))
+        total = 1 + sum(size[id(a)] for a in args)
+        if total <= 200:
+            node = App(f.name, args)
+            size[id(node)] = total
+            pool.append(node)
+    roots = [rng.choice(pool[len(pool) - 8 :]) for _ in range(count)]
+    formulas = [Formula.build(root, base) for root in roots]
+    formulas += [parse_formula(format_formula(phi), base) for phi in formulas]
+    return [*formulas, formulas[0], Formula.build(Var(names[-1]), base)]
+
+
+@pytest.mark.parametrize("names", sorted(_LANE_BASES))
+def test_program_matches_walk_and_lane_reference(names):
+    # words carry bits beyond the width, which no result may show
+    base = _LANE_BASES[names]
+    rng = random.Random(f"program-{names}")
+    order = tuple(f"v{i}" for i in range(1, 7))
+    formulas = _shared_formulas(rng, base, order, 4)
+    program = Program.compile(formulas, order)
+    for width in (1, 64, 65, 1 << 16):
+        words = [rng.getrandbits(width + 3) for _ in order]
+        replayed = list(program.replay(words, width))
+        assert len(replayed) == len(formulas)
+        lanes = range(width) if width <= 65 else rng.sample(range(width), 24)
+        for phi, word in zip(formulas, replayed):
+            assert word == evaluate_block(phi, words, width, order), (width, format_formula(phi))
+            for j in lanes:
+                env = {name: w >> j & 1 for name, w in zip(order, words)}
+                assert word >> j & 1 == naive_value(phi.root, base, env), (width, j, format_formula(phi))
+        if width <= 65:
+            assert replayed == [lane_reference(phi, words, width, order) for phi in formulas]
+
+
+def _steps(program):
+    return sum(len(body) for body, _root, _release in program.segments)
+
+
+def test_program_numbers_each_distinct_subterm_once():
+    rng = random.Random("program-steps")
+    terms = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, 9), 3)] for _ in range(40)]
+    inst = reduce_tautdnf_d2(DnfInput.build(terms, 8))
+    formulas = (*inst.premises, inst.conclusion)
+    steps = _steps(Program.compile(formulas, inst.variables))
+    # one step per (connective, argument slots): structurally equal subterms
+    distinct = {node for phi in formulas for node in iter_nodes(phi.root) if isinstance(node, App)}
+    assert steps == len(distinct)
+    assert steps < sum(connective_count(phi.root) for phi in formulas)
+    # the tie chain, read by the premise and the conclusion, is computed once
+    tie = inst.premises[0].root.args[0]
+    alone = sum(_steps(Program.compile((phi,), inst.variables)) for phi in formulas)
+    assert alone - steps >= connective_count(tie)
+    # the same text parsed twice compiles to the steps of one parse
+    text = format_formula(inst.conclusion)
+    twice = [parse_formula(text, MAJORITY_BASE) for _ in range(2)]
+    assert _steps(Program.compile(twice, inst.variables)) == _steps(Program.compile(twice[:1], inst.variables))
+
+
+def test_program_releases_each_slot_after_its_last_reader():
+    phi = parse_formula("and(or(x, y), not(or(x, y)))", BASIC)
+    psi = parse_formula("or(x, y)", BASIC)
+    program = Program.compile((phi, psi, phi), ("x", "y"))
+    (body1, root1, release1), (body2, root2, release2), (body3, root3, release3) = program.segments
+    # or(x, y) is slot 2 and is read by the second formula's root last
+    assert [args for _plan, args, _free in body1] == [(0, 1), (2,), (2, 3)]
+    assert [free for _plan, _args, free in body1] == [(0, 1), (), (3,)]
+    assert body2 == body3 == () and (root1, root2, root3) == (4, 2, 4)
+    assert (release1, release2, release3) == ((), (2,), (4,))
+    assert list(program.replay([0b0101, 0b0011], 4)) == [0, 0b0111, 0]
+
+
+def test_program_errors():
+    phi = parse_formula("and(x, y)", BASIC)
+    with pytest.raises(ValueError, match="missing"):
+        Program.compile((phi,), ("x",))
+    program = Program.compile((phi,), ("x", "y"))
+    with pytest.raises(ValueError, match="1 words supplied for 2 variables"):
+        list(program.replay([1], 1))
 
 
 def test_truth_table():
