@@ -34,7 +34,6 @@ from .decide import (
     Mode,
     VariableCapError,
     decide_and_fragment,
-    decide_equivalence,
     decide_linear,
     decide_or_fragment,
     decide_oracle,
@@ -59,10 +58,9 @@ from .formula import (
     format_formula,
     parse_formula,
     read_instance,
-    truth_table,
     write_instance,
 )
-from .gf2 import EchelonForm, Gf2System, eliminate, is_consistent, solve
+from .gf2 import Gf2System, eliminate, solve
 from .reductions import (
     DnfInput,
     parse_dnf,

@@ -57,16 +57,6 @@ class BooleanFunction:
         return "".join("1" if self.table >> j & 1 else "0" for j in range(self.rows))
 
 
-def evaluate(f: BooleanFunction, args: Sequence[int]) -> int:
-    """Value of f at the given argument bits (x1 first)."""
-    if len(args) != f.arity:
-        raise ArityError(f.name, f.arity, len(args))
-    index = 0
-    for i, a in enumerate(args):
-        index |= (a & 1) << i
-    return f.table >> index & 1
-
-
 def _zero_positions(rows: int, period: int) -> int:
     # mask of table indices whose bit at the given period is clear
     return ((1 << rows) - 1) // ((1 << period) + 1)
@@ -74,7 +64,7 @@ def _zero_positions(rows: int, period: int) -> int:
 
 def is_c_reproducing(f: BooleanFunction, c: int) -> bool:
     """f(c, ..., c) = c."""
-    return evaluate(f, (c,) * f.arity) == c
+    return f.table >> (f.rows - 1 if c else 0) & 1 == c
 
 
 def is_monotone(f: BooleanFunction) -> bool:
@@ -157,10 +147,6 @@ class _CoefficientForm:
         """The form whose value at the base point is c0 and whose value flips
         exactly under the single-variable changes set in `flips`."""
         return cls(c0, flips, n)
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(self.mask >> i & 1 for i in range(self.n))
 
 
 @dataclass(frozen=True)

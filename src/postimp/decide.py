@@ -291,30 +291,3 @@ def dispatch(
     if fragment is Fragment.LINEAR and mode is Mode.SINGLE_PREMISE:
         return decide_single_linear(inst.premises[0], inst.conclusion)
     return _SET_DECIDERS[fragment](inst)
-
-
-def decide_equivalence(
-    phi: Formula, psi: Formula, max_vars: int = DEFAULT_VARIABLE_CAP
-) -> Decision:
-    """Two single-premise implication checks, one per direction."""
-    forward = dispatch(
-        Instance.build(phi.base, (phi,), psi), Mode.SINGLE_PREMISE, max_vars=max_vars
-    )
-    if not forward.implies:
-        return Decision(
-            False,
-            forward.fragment_used,
-            "the forward implication fails: " + forward.detail,
-            forward.counterexample,
-        )
-    backward = dispatch(
-        Instance.build(phi.base, (psi,), phi), Mode.SINGLE_PREMISE, max_vars=max_vars
-    )
-    if not backward.implies:
-        return Decision(
-            False,
-            backward.fragment_used,
-            "the reverse implication fails: " + backward.detail,
-            backward.counterexample,
-        )
-    return Decision(True, forward.fragment_used, "both implication directions hold")

@@ -30,7 +30,6 @@ from .boolfn import (
     ArityError,
     BooleanFunction,
     LinearNormalForm,
-    MAX_ARITY,
     OrNormalForm,
     read_functions,
     write_functions,
@@ -110,26 +109,6 @@ def iter_nodes(root: Node):
         yield node
         if isinstance(node, App):
             stack.extend(reversed(node.args))
-
-
-def depth(root: Node) -> int:
-    """Connective nesting depth; a bare variable or constant has depth 0."""
-    best = {}
-    stack = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Var):
-            best[id(node)] = 0
-            continue
-        if not node.args:
-            best[id(node)] = 0
-            continue
-        if expanded:
-            best[id(node)] = 1 + max(best[id(a)] for a in node.args)
-            continue
-        stack.append((node, True))
-        stack.extend((a, False) for a in node.args)
-    return best[id(root)]
 
 
 def connective_count(root: Node) -> int:
@@ -543,16 +522,6 @@ def variable_word(i: int, start: int, width: int) -> int:
     while word.bit_length() < width:
         word |= word << word.bit_length()
     return word
-
-
-def truth_table(phi: Formula, name: str = "f") -> BooleanFunction:
-    """The full table of the formula under its variable order."""
-    n = len(phi.variables)
-    if n > MAX_ARITY:
-        raise ValueError(f"{n} variables exceed the {MAX_ARITY}-variable table cap")
-    width = 1 << n
-    words = [variable_word(i, 0, width) for i in range(n)]
-    return BooleanFunction(name, n, evaluate_block(phi, words, width))
 
 
 def _used_functions(phi: Formula):

@@ -25,15 +25,9 @@ class Gf2System:
                 raise ValueError(f"right-hand side must be a bit, got {rhs!r}")
 
 
-@dataclass(frozen=True)
-class EchelonForm:
-    system: Gf2System
-    pivots: tuple  # 1-based pivot columns, ascending
-    rank: int
-
-
-def eliminate(system: Gf2System) -> EchelonForm:
-    """Reduced row echelon form over Z2, with recorded pivot columns."""
+def eliminate(system: Gf2System) -> tuple:
+    """Reduced row echelon form over Z2: the rows, pivot rows first, and the
+    1-based pivot columns, ascending."""
     rest = list(system.rows)
     pivot_rows = []
     pivots = []
@@ -47,22 +41,16 @@ def eliminate(system: Gf2System) -> EchelonForm:
         pivot_rows = [(m ^ mask, b ^ rhs) if m & bit else (m, b) for m, b in pivot_rows]
         pivot_rows.append((mask, rhs))
         pivots.append(col + 1)
-    reduced = Gf2System(system.n, tuple(pivot_rows) + tuple(rest))
-    return EchelonForm(reduced, tuple(pivots), len(pivots))
-
-
-def is_consistent(system: Gf2System) -> bool:
-    """True unless elimination leaves a 0 = 1 row."""
-    return not any(m == 0 and b for m, b in eliminate(system).system.rows)
+    return tuple(pivot_rows) + tuple(rest), tuple(pivots)
 
 
 def solve(system: Gf2System) -> Optional[tuple]:
     """One solution with all free variables zero, or None if inconsistent."""
-    ef = eliminate(system)
-    if any(m == 0 and b for m, b in ef.system.rows):
+    rows, pivots = eliminate(system)
+    if any(m == 0 and b for m, b in rows):
         return None
     x = [0] * system.n
-    for (mask, rhs), col in zip(ef.system.rows, ef.pivots):
+    for (_, rhs), col in zip(rows, pivots):
         x[col - 1] = rhs
     return tuple(x)
 
@@ -101,11 +89,3 @@ def read_system(path) -> Gf2System:
         mask = sum(1 << i for i, c in enumerate(fields[0]) if c == "1")
         rows.append((mask, int(fields[1])))
     return Gf2System(n, tuple(rows))
-
-
-def write_system(system: Gf2System, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(system.rows)} {system.n}\n")
-        for mask, rhs in system.rows:
-            bits = "".join("1" if mask >> i & 1 else "0" for i in range(system.n))
-            fh.write(f"{bits} {rhs}\n" if bits else f"{rhs}\n")

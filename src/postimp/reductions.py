@@ -94,13 +94,6 @@ def read_dnf(path) -> DnfInput:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def write_dnf(dnf: DnfInput, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for term in dnf.terms:
-            lits = sorted(term, key=lambda l: (abs(l), l < 0))
-            fh.write(" ".join(f"x{l}" if l > 0 else f"-x{-l}" for l in lits) + "\n")
-
-
 def _balanced(nodes, combine):
     """Fold a nonempty list pairwise, left to right, into a log-depth tree."""
     level = list(nodes)

@@ -48,6 +48,8 @@ def random_instance(
 def run_selftest(seed: int = 0, cases: int = 1000) -> dict:
     """Per fragment: dispatch-selected decider versus the oracle on seeded
     random in-fragment instances.  Disagreement counts must be zero."""
+    if cases < 0:
+        raise ValueError(f"the case count must be nonnegative, got {cases}")
     fragments = {}
     total = 0
     for fragment in sorted(FRAGMENT_BASES):

@@ -22,6 +22,19 @@ def naive_value(node, base, env):
     return f.table >> index & 1
 
 
+def table_bit(f, args):
+    """Value of a connective at the argument bits (x1 first), read straight
+    off its truth table."""
+    return f.table >> sum(a << i for i, a in enumerate(args)) & 1
+
+
+def depth(node):
+    """Connective nesting depth; a bare variable or constant has depth 0."""
+    if isinstance(node, Var) or not node.args:
+        return 0
+    return 1 + max(depth(a) for a in node.args)
+
+
 def lane_reference(phi, words, width, order):
     """Bit-sliced evaluation done lane by lane: lane j of the result is the
     tree evaluated on bit j of each variable's word."""

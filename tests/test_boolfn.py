@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import table_bit
 from postimp import boolfn
 from postimp.boolfn import (
     AND2,
@@ -22,7 +23,6 @@ from postimp.boolfn import (
     as_linear,
     as_unary,
     dual,
-    evaluate,
     is_c_reproducing,
     is_monotone,
     is_self_dual,
@@ -31,19 +31,21 @@ from postimp.boolfn import (
     separation_degree,
     write_functions,
 )
+from postimp.formula import App, Base, Formula, Var
 
 
 def test_evaluate_basic():
-    assert evaluate(AND2, (1, 1)) == 1
-    assert evaluate(AND2, (1, 0)) == 0
+    assert table_bit(AND2, (1, 1)) == 1
+    assert table_bit(AND2, (1, 0)) == 0
     # majority of (1, 0, 1) computed by hand from (x&y)|(y&z)|(x&z)
-    assert evaluate(MAJ3, (1, 0, 1)) == 1
-    assert evaluate(TOP, ()) == 1
+    assert table_bit(MAJ3, (1, 0, 1)) == 1
+    assert table_bit(TOP, ()) == 1
 
 
 def test_evaluate_arity_mismatch():
     with pytest.raises(ArityError) as err:
-        evaluate(AND2, (1,))
+        Formula.build(App("and", (Var("x"),)), Base.of(AND2))
+    assert err.value.name == "and"
     assert err.value.expected == 2
     assert err.value.actual == 1
 
@@ -52,8 +54,8 @@ def test_table_bit_order():
     # x1 is the least significant index bit
     f = BooleanFunction.from_bits("p1", "01010101")
     assert f.arity == 3
-    assert evaluate(f, (1, 0, 0)) == 1
-    assert evaluate(f, (0, 1, 1)) == 0
+    assert table_bit(f, (1, 0, 0)) == 1
+    assert table_bit(f, (0, 1, 1)) == 0
 
 
 def test_reproducing():
@@ -112,7 +114,7 @@ def _rows(arity):
 def _slow_monotone(f):
     rows = _rows(f.arity)
     return all(
-        evaluate(f, a) <= evaluate(f, b)
+        table_bit(f, a) <= table_bit(f, b)
         for a in rows
         for b in rows
         if all(x <= y for x, y in zip(a, b))
@@ -121,7 +123,7 @@ def _slow_monotone(f):
 
 def _slow_self_dual(f):
     return all(
-        evaluate(f, a) == 1 - evaluate(f, tuple(1 - x for x in a)) for a in _rows(f.arity)
+        table_bit(f, a) == 1 - table_bit(f, tuple(1 - x for x in a)) for a in _rows(f.arity)
     )
 
 
@@ -129,7 +131,7 @@ def _slow_separation_degree(f, c):
     # fewest inputs mapped to c with no common coordinate equal to c, less one
     if f.arity == 0:
         f = BooleanFunction(f.name, 1, 3 * f.table)
-    preimage = [a for a in _rows(f.arity) if evaluate(f, a) == c]
+    preimage = [a for a in _rows(f.arity) if table_bit(f, a) == c]
     for size in range(1, len(preimage) + 1):
         for subset in itertools.combinations(preimage, size):
             if not any(all(a[i] == c for a in subset) for i in range(f.arity)):
@@ -143,7 +145,7 @@ def _slow_relevant(f):
         for a in _rows(f.arity):
             flipped = list(a)
             flipped[i] ^= 1
-            if evaluate(f, a) != evaluate(f, tuple(flipped)):
+            if table_bit(f, a) != table_bit(f, tuple(flipped)):
                 out.add(i + 1)
                 break
     return frozenset(out)
@@ -153,7 +155,7 @@ def _search_linear(f):
     for c0 in (0, 1):
         for coeffs in itertools.product((0, 1), repeat=f.arity):
             if all(
-                (c0 ^ sum(c & x for c, x in zip(coeffs, a)) % 2) == evaluate(f, a)
+                (c0 ^ sum(c & x for c, x in zip(coeffs, a)) % 2) == table_bit(f, a)
                 for a in _rows(f.arity)
             ):
                 return True
@@ -164,7 +166,7 @@ def _search_disjunction(f):
     for c0 in (0, 1):
         for coeffs in itertools.product((0, 1), repeat=f.arity):
             if all(
-                (1 if c0 or any(c & x for c, x in zip(coeffs, a)) else 0) == evaluate(f, a)
+                (1 if c0 or any(c & x for c, x in zip(coeffs, a)) else 0) == table_bit(f, a)
                 for a in _rows(f.arity)
             ):
                 return True
@@ -175,7 +177,7 @@ def _search_conjunction(f):
     for c0 in (0, 1):
         for coeffs in itertools.product((0, 1), repeat=f.arity):
             if all(
-                (1 if c0 and all(x for c, x in zip(coeffs, a) if c) else 0) == evaluate(f, a)
+                (1 if c0 and all(x for c, x in zip(coeffs, a) if c) else 0) == table_bit(f, a)
                 for a in _rows(f.arity)
             ):
                 return True
@@ -189,7 +191,7 @@ def test_exhaustive_property_sweep(arity):
         assert is_monotone(f) == _slow_monotone(f)
         assert is_self_dual(f) == _slow_self_dual(f)
         for c in (0, 1):
-            assert is_c_reproducing(f, c) == (evaluate(f, (c,) * arity) == c)
+            assert is_c_reproducing(f, c) == (table_bit(f, (c,) * arity) == c)
             assert separation_degree(f, c) == _slow_separation_degree(f, c)
         assert relevant_variables(f) == _slow_relevant(f)
 
@@ -204,7 +206,7 @@ def test_exhaustive_normal_form_sweep(arity):
         assert (as_unary(f) is not None) == (len(relevant_variables(f)) <= 1)
         for nf in (as_linear(f), as_disjunction(f), as_conjunction(f), as_unary(f)):
             if nf is not None:
-                assert all(nf.value(a) == evaluate(f, a) for a in _rows(arity))
+                assert all(nf.value(a) == table_bit(f, a) for a in _rows(arity))
         if as_linear(f) is not None and as_disjunction(f) is not None:
             assert len(relevant_variables(f)) <= 1
 

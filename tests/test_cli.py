@@ -171,6 +171,14 @@ def test_selftest_deterministic_record(capsys):
     assert set(report["fragments"]) == {"and", "general", "linear", "or", "single-linear", "unary"}
 
 
+def test_selftest_rejects_a_negative_case_count(capsys):
+    # a run of no cases must not read as a pass
+    code, out, err = run(capsys, "selftest", "--cases", "-5", "--format", "record")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the case count must be nonnegative, got -5\n"
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "classify", "--base", "/nonexistent/path.base")
     assert code == 1 and "path.base" in err

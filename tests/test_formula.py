@@ -37,7 +37,6 @@ from postimp.formula import (
     iter_nodes,
     parse_formula,
     read_instance,
-    truth_table,
     connective_plan,
     variable_word,
     write_instance,
@@ -348,13 +347,19 @@ def test_program_errors():
         list(program.replay([1], 1))
 
 
+def _full_table(phi):
+    # one lane per assignment of the formula's own variables
+    n = len(phi.variables)
+    words = [variable_word(i, 0, 1 << n) for i in range(n)]
+    return evaluate_block(phi, words, 1 << n)
+
+
 def test_truth_table():
-    assert truth_table(parse_formula("x", BASIC)).bits() == "01"
-    assert truth_table(parse_formula("xor3(x, y, z)", LIN)).table == XOR3.table
+    assert _full_table(parse_formula("x", BASIC)) == 0b10
+    assert _full_table(parse_formula("xor3(x, y, z)", LIN)) == XOR3.table
     # maj(x, x, y) collapses to x; brute-forced over the 4 assignments
     phi = parse_formula("maj(x, x, y)", MAJ)
-    assert naive_table(phi.root, MAJ, phi.variables) == truth_table(phi).table
-    assert truth_table(phi).bits() == "0101"
+    assert naive_table(phi.root, MAJ, phi.variables) == _full_table(phi) == 0b1010
 
 
 def test_linear_extraction():
@@ -368,7 +373,7 @@ def test_linear_extraction():
 def test_or_extraction():
     nf = extract_or_nf(parse_formula("or(x, or(y, top()))", BASIC))
     assert nf.c0 == 1
-    assert extract_or_nf(parse_formula("or(x, y)", BASIC)).coeffs == (1, 1)
+    assert extract_or_nf(parse_formula("or(x, y)", BASIC)).mask == 0b11
     assert extract_or_nf(parse_formula("or(x, y)", BASIC)).c0 == 0
     with pytest.raises(FragmentError):
         extract_or_nf(parse_formula("and(x, y)", BASIC))
@@ -378,7 +383,7 @@ def test_and_extraction():
     nf = extract_and_nf(parse_formula("and(x, bot())", BASIC))
     assert nf.c0 == 0
     nf = extract_and_nf(parse_formula("and(x, and(y, z))", BASIC))
-    assert nf.c0 == 1 and nf.coeffs == (1, 1, 1)
+    assert nf.c0 == 1 and nf.mask == 0b111
 
 
 def test_unary_extraction():
@@ -480,8 +485,7 @@ def test_extraction_beyond_one_word(base, extract, kind):
         rng.shuffle(order)
         nf = extract(phi, order)
         c0, coeffs = _scalar_flip_reference(phi, order, kind)
-        assert (nf.c0, nf.coeffs, nf.n) == (c0, coeffs, len(order))
-        assert nf.mask == sum(c << i for i, c in enumerate(coeffs))
+        assert (nf.c0, nf.mask, nf.n) == (c0, sum(c << i for i, c in enumerate(coeffs)), len(order))
         constant_form = {"linear": False, "unary": False, "or": c0 == 1, "and": c0 == 0}[kind]
         if not constant_form:
             absent = [i for i, name in enumerate(order) if name not in phi.variables]

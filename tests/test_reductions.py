@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from helpers import brute_consistent
+from helpers import brute_consistent, depth
 from postimp.decide import decide_oracle
 from postimp.formula import (
     connective_count,
-    depth,
     format_formula,
     iter_nodes,
     parse_formula,
@@ -15,7 +14,7 @@ from postimp.formula import (
     write_instance,
 )
 from postimp.formula import App
-from postimp.gf2 import Gf2System, is_consistent
+from postimp.gf2 import Gf2System, solve
 from postimp.reductions import (
     DnfInput,
     parse_dnf,
@@ -25,7 +24,6 @@ from postimp.reductions import (
     reduce_mod2_unary,
     reduce_tautdnf_d2,
     reduce_tautdnf_monotone,
-    write_dnf,
 )
 
 
@@ -55,7 +53,7 @@ def test_dnf_parsing():
 def test_dnf_file_roundtrip(tmp_path):
     dnf = DnfInput.build([[2, -1], [3]])
     path = tmp_path / "phi.dnf"
-    write_dnf(dnf, path)
+    path.write_text("-x1 x2\nx3\n")
     assert read_dnf(path) == dnf
 
 
@@ -133,8 +131,9 @@ def test_linear_system_reduction_randomized():
         rows = tuple((rng.randrange(1 << n), rng.randint(0, 1)) for _ in range(rng.randint(1, 6)))
         system = Gf2System(n, rows)
         inst, _ = reduce_linsys_to_imp(system)
-        assert is_consistent(system) == brute_consistent(system)
-        assert decide_oracle(inst).implies == (not is_consistent(system))
+        solvable = solve(system) is not None
+        assert solvable == brute_consistent(system)
+        assert decide_oracle(inst).implies == (not solvable)
 
 
 def test_mod2_reductions_exhaustive_short():
