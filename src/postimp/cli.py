@@ -54,6 +54,8 @@ def run_classify(args: argparse.Namespace):
 
 
 def run_decide(args: argparse.Namespace):
+    if args.max_vars < 0:
+        raise ValueError(f"the enumeration cap must be nonnegative, got {args.max_vars}")
     base = Base.load(args.base) if args.base else None
     inst = read_instance(args.instance, base)
     mode = Mode.SINGLE_PREMISE if args.single_premise else Mode.SET_PREMISE

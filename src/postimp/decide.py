@@ -50,7 +50,7 @@ class VariableCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decision:
     implies: bool
     fragment_used: Fragment

@@ -7,18 +7,22 @@ share one index.  All four extractors (linear, disjunctive, conjunctive and
 unary) read the n+1 probe points off one bit-sliced `evaluate_block` pass,
 `_flip_scan`, and return the coefficients as an int mask; a unary formula
 gets the linear form with at most one coefficient.  `evaluate_block` applies
-each connective through its `connective_plan`, compiled once per truth table
-into the cheapest of its algebraic normal form, its minterms and its
-complemented maxterms.  `Program` compiles several formulae over one
-variable order into one straight-line program of plan applications:
-equal subterms are numbered by (connective, argument slots) into one step,
-and each word is released after its last reader.  Compiling costs more than
-one walk, so only a caller that evaluates the same formulae on many blocks
-(the oracle above 2^16 assignments) compiles.  All evaluation walks are
-iterative, so formula depth is bounded only by memory.
+each connective through its `connective_plan`: a kernel compiled once per
+truth table from the cheapest factored form of the table (its algebraic
+normal form, minterms, complemented maxterms, and for a monotone or
+antitone table its minimal true points), so `and`, `or` and `xor` cost one
+big-int operation per application and `maj` four.  `Program` compiles
+several formulae over one variable order into one straight-line program of
+kernel applications: equal subterms are numbered by (connective, argument
+slots) into one step, and each word is released after its last reader.
+Compiling costs more than one walk, so only a caller that evaluates the
+same formulae on many blocks (the oracle above 2^16 assignments) compiles.
+All evaluation walks are iterative, so formula depth is bounded only by
+memory.
 """
 
 import functools
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -305,7 +309,7 @@ def evaluate(phi: Formula, sigma: Sequence[int], variables=None) -> int:
 def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=None) -> int:
     """Bit-sliced evaluation: lane k of each word holds assignment k.
 
-    Applies each connective lane-wise through its compiled `connective_plan`
+    Applies each connective lane-wise through its `connective_plan` kernel
     and returns the result word; `width` is the number of live lanes.  Every
     intermediate word stays within the width's mask, so none is negative.
     """
@@ -443,70 +447,157 @@ class Program:
 
 
 def _apply_plan(plan, args: Sequence[int], mask: int) -> int:
-    """Evaluate a `connective_plan` on argument words under `mask`."""
-    invert, terms = plan
-    acc = 0
-    for pos, neg in terms:
-        if pos:
-            term = args[pos[0]]
-            for i in pos[1:]:
-                if not term:
-                    break
-                term &= args[i]
-        else:
-            term = mask
-        for i in neg:
-            if not term:
-                break
-            term &= args[i] ^ mask
-        acc ^= term
-    return acc ^ mask if invert else acc
+    """Apply a `connective_plan` kernel to argument words under `mask`."""
+    return plan(*args, mask)
 
 
 @functools.lru_cache(maxsize=256)
-def connective_plan(arity: int, table: int) -> tuple:
-    """The cheapest bit-sliced form of a connective, as `(invert, terms)`.
+def connective_plan(arity: int, table: int):
+    """The connective compiled into a bit-sliced kernel,
+    `plan(*argument_words, mask) -> word`.
 
-    Each term is a pair (positive, negated) of argument-index tuples standing
-    for the AND of the positive arguments and of the complements of the
-    negated ones; the connective is the XOR of its terms, complemented when
-    `invert` is set.
-    Three forms qualify: the algebraic normal form (its monomials, with the
-    constant coefficient as `invert`), the minterms, and the complemented
-    maxterms (the minterms of the negation).  Minterms are pairwise disjoint,
-    so XOR joins them as OR would.  Each form's cost in big-int operations of
-    `_apply_plan` is counted from the table, and only the cheapest is built.
+    The kernel is the cheapest factored form of the table (see
+    `_factored_form`), compiled once into a lambda whose body holds only the
+    argument names a0..a{arity-1}, the mask M, the literal 0, `&`, `|`, `^`
+    and parentheses: no name or text from a base file reaches `compile`.
+    A negated argument is `a ^ M`, so no word is ever negative.
+    """
+    _cost, body = _factored_form(arity, table)
+    params = ", ".join([*(f"a{i}" for i in range(arity)), "M"])
+    return eval(compile(f"lambda {params}: {body}", "<connective kernel>", "eval"), {"__builtins__": {}})
+
+
+class _OverBudget(Exception):
+    """A candidate form grew as costly as the cheapest one found so far."""
+
+
+def _factored_form(arity: int, table: int) -> tuple:
+    """The cheapest factored form of a table, as (big-int ops, expression).
+
+    The candidates are the algebraic normal form (monomials joined by XOR),
+    the minterms, and the complemented maxterms (the minterms of the
+    negation); a monotone table adds the OR of its minimal true points, and
+    an antitone one the complement of that form of its negation.  Each
+    candidate is factored by pulling out its most frequent literal first:
+    `x & F1 op F0`, a Davio expansion for the normal form and a Shannon
+    expansion for the minterms.  Factoring never costs more than the flat
+    form, and a random 16-ary table takes about a fifth of the ops of its
+    flat normal form.  A candidate is dropped as soon as it has spent as
+    many ops as the cheapest one before it, so a 16-ary xor never expands
+    its 32768 minterms.
+
+    Sets of monomials and of minterms are int masks over the 2^arity rows.
+    The variable pulled out is first swapped into the top index bit, so
+    each cofactor is half the width of its parent.
     """
     rows = 1 << arity
     cols = [variable_word(i, 0, rows) for i in range(arity)]
+    lows = [(1 << (1 << w)) - 1 for w in range(arity + 1)]  # all rows of w variables
+    left = 0  # ops the candidate being factored may still spend
+
+    def spend(ops, cost, text):
+        nonlocal left
+        left -= ops
+        if left < 0:
+            raise _OverBudget
+        return cost, text
+
+    def join(terms, op):
+        if len(terms) < 2:
+            return terms[0] if terms else (0, "0")
+        ops = len(terms) - 1
+        return spend(ops, sum(cost for cost, _ in terms) + ops, f" {op} ".join(map(_operand, terms)))
+
+    def conjoin(literal, inner):
+        if inner[1] == "M":
+            return literal
+        return spend(1, literal[0] + inner[0] + 1, f"{_operand(literal)} & {_operand(inner)}")
+
+    def complement(form):
+        return spend(1, form[0] + 1, f"{_operand(form)} ^ M")
+
+    def pull_to_top(members, i, names):
+        # swap index bits i and top, so the variable at i becomes the top one
+        top = len(names) - 1
+        names[i], names[top] = names[top], names[i]
+        if i == top:
+            return members
+        d = (1 << top) - (1 << i)
+        x = ((members >> d) ^ members) & cols[i] & lows[top]
+        return members ^ x ^ (x << d)
+
+    def monomials(members, names, op):
+        # x & F1 op F0: F1 are the monomials with x, x removed, and F0 the rest
+        const = members & 1
+        members ^= const
+        names = list(names)
+        terms = []
+        while members:
+            i = max(range(len(names)), key=lambda j: (members & cols[j]).bit_count())
+            members = pull_to_top(members, i, names)
+            top = len(names) - 1
+            inner = monomials(members >> (1 << top), names[:top], op)
+            members &= lows[top]
+            terms.append(conjoin((0, f"a{names.pop()}"), inner))
+        if const:
+            terms.append((0, "M"))
+        return join(terms, op)
+
+    def minterms(members, names):
+        # x & F1 | ~x & F0 over the cofactors, the more frequent literal first
+        if members in (0, lows[len(names)]):
+            return (0, "M") if members else (0, "0")
+        count = members.bit_count()
+        ones = [(members & cols[j]).bit_count() for j in range(len(names))]
+        i = max(range(len(names)), key=lambda j: max(ones[j], count - ones[j]))
+        names = list(names)
+        members = pull_to_top(members, i, names)
+        top = len(names) - 1
+        name = f"a{names.pop()}"
+        one, zero = members >> (1 << top), members & lows[top]
+        terms = []
+        if one:
+            terms.append(conjoin((0, name), minterms(one, names)))
+        if zero:
+            terms.append(conjoin(spend(1, 1, f"{name} ^ M"), minterms(zero, names)))
+        if 2 * ones[i] < count:
+            terms.reverse()
+        return join(terms, "|")
+
+    def minimal_points(members):
+        # the true rows of a monotone table with no true row just below them
+        least = members
+        for i, col in enumerate(cols):
+            least &= ~((members & ~col) << (1 << i))
+        return least
+
+    names = list(range(arity))
     anf = table
     for i, col in enumerate(cols):
         anf ^= anf << (1 << i) & col  # Moebius transform over variable i
-    const = anf & 1
-
-    def cost(members: int, negate: bool, invert: int) -> int:
-        # a positive factor costs an AND, but a term's first one stands in
-        # for the XOR that joins the term; a term with none still pays that
-        # XOR; a negated factor costs an XOR and an AND
-        positives = sum((members & col).bit_count() for col in cols)
-        negated = members.bit_count() * arity - positives if negate else 0
-        return positives + (members & 1) + 2 * negated + invert
-
-    # (rows or monomials that become terms, negate the absent arguments, invert)
-    forms = [
-        (anf ^ const, False, const),
-        (table, True, 0),
-        (table ^ ((1 << rows) - 1), True, 1),
+    negation = table ^ lows[arity]
+    candidates = [
+        lambda: monomials(anf, names, "^"),
+        lambda: minterms(table, names),
+        lambda: complement(minterms(negation, names)),
     ]
-    members, negate, invert = min(forms, key=lambda form: cost(*form))
-    return invert, tuple(
-        (
-            tuple(i for i in range(arity) if m >> i & 1),
-            tuple(i for i in range(arity) if not m >> i & 1) if negate else (),
-        )
-        for m, bit in enumerate(reversed(format(members, "b")))
-        if bit == "1"
-    )
+    if boolfn.is_monotone(BooleanFunction("table", arity, table)):
+        candidates.append(lambda: monomials(minimal_points(table), names, "|"))
+    if boolfn.is_monotone(BooleanFunction("negation", arity, negation)):
+        candidates.append(lambda: complement(monomials(minimal_points(negation), names, "|")))
+    best = (math.inf, None)
+    for candidate in candidates:
+        left = best[0] - 1
+        try:
+            best = candidate()
+        except _OverBudget:
+            pass
+    return best
+
+
+def _operand(form) -> str:
+    cost, text = form
+    return f"({text})" if cost else text
 
 
 def variable_word(i: int, start: int, width: int) -> int:

@@ -46,9 +46,10 @@ def lane_reference(phi, words, width, order):
 
 
 def plan_forms(arity, table):
-    """The algebraic normal form, the minterms and the complemented
-    maxterms of a table, each as `(invert, terms)` with (positive, negated)
-    index tuples, derived row by row."""
+    """The flat forms of a table, which no connective kernel may cost more
+    than: the algebraic normal form, the minterms and the complemented
+    maxterms, each as `(invert, terms)` with (positive, negated) index
+    tuples, derived row by row."""
     rows = range(1 << arity)
 
     def bits(m, value):
@@ -64,11 +65,11 @@ def plan_forms(arity, table):
     }
 
 
-def plan_cost(plan):
-    """Big-int operations a plan takes when no term vanishes early: the ANDs
-    between positive factors, an XOR and an AND per negated factor, one XOR
-    per term and one for the inversion."""
-    invert, terms = plan
+def plan_cost(form):
+    """Big-int operations a flat form takes when applied term by term: the
+    ANDs between positive factors, an XOR and an AND per negated factor, one
+    XOR per term and one for the inversion."""
+    invert, terms = form
     return invert + sum(max(len(pos) - 1, 0) + 2 * len(neg) + 1 for pos, neg in terms)
 
 

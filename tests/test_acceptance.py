@@ -280,6 +280,20 @@ def test_wide_connective_budget():
             assert evaluate_block(phi, words, width) == parity
 
 
+def test_wide_random_connective_budget():
+    # a random 16-ary table has no short form: its kernel factors about
+    # 50000 operations out of 32768 monomials, and is compiled once
+    arity = 16
+    table = random.Random("wide-random").getrandbits(1 << arity)
+    base = Base.of(BooleanFunction("rnd16", arity, table))
+    phi = Formula.build(App("rnd16", tuple(Var(f"x{i}") for i in range(1, arity + 1))), base)
+    width = 1 << arity
+    words = [variable_word(i, 0, width) for i in range(arity)]
+    connective_plan.cache_clear()
+    with budget("random 16-ary connective, one call of 2^16 lanes, plan included", 3.0):
+        assert evaluate_block(phi, words, width) == table
+
+
 def test_closure_arity_4_budget(capsys, tmp_path):
     # every command finishes in bounded time: a complete base composes all
     # 65536 quaternary functions

@@ -179,6 +179,20 @@ def test_selftest_rejects_a_negative_case_count(capsys):
     assert err == "error: the case count must be nonnegative, got -5\n"
 
 
+def test_decide_rejects_a_negative_cap(capsys, tmp_path, base_file):
+    # refused before the instance is read, not by the oracle later
+    inst = tmp_path / "inst.txt"
+    inst.write_text(f"base: {base_file.name}\npremise: x\nconclusion: and(x, y)\n")
+    code, out, err = run(capsys, "decide", "--instance", str(inst), "--max-vars", "-1", "--format", "record")
+    assert code == 1
+    assert out == ""
+    assert err == "error: the enumeration cap must be nonnegative, got -1\n"
+    # a cap of zero is a cap: the oracle refuses the two-variable instance
+    code, out, err = run(capsys, "decide", "--instance", str(inst), "--max-vars", "0", "--format", "record")
+    assert code == 1
+    assert "but the enumeration cap is 0" in err
+
+
 def test_missing_file_is_reported(capsys):
     code, _, err = run(capsys, "classify", "--base", "/nonexistent/path.base")
     assert code == 1 and "path.base" in err

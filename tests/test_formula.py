@@ -1,15 +1,18 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import lane_reference, naive_table, naive_value, plan_cost, plan_forms
+from postimp import formula
 from postimp.boolfn import (
     AND2,
     BOT,
     BooleanFunction,
     LinearNormalForm,
     MAJ3,
+    NAND2,
     NOT,
     OR2,
     TOP,
@@ -196,7 +199,7 @@ def test_plan_applied_to_the_rows_gives_the_table():
 
 
 class _CountedWord(int):
-    """An int that counts the ANDs and XORs it takes part in."""
+    """An int that counts the ANDs, ORs and XORs it takes part in."""
 
     ops = [0]
 
@@ -204,26 +207,94 @@ class _CountedWord(int):
         self.ops[0] += 1
         return _CountedWord(int(self) & int(other))
 
+    def __or__(self, other):
+        self.ops[0] += 1
+        return _CountedWord(int(self) | int(other))
+
     def __xor__(self, other):
         self.ops[0] += 1
         return _CountedWord(int(self) ^ int(other))
 
     __rand__ = __and__
+    __ror__ = __or__
     __rxor__ = __xor__
 
 
+def _kernel_ops(arity, table):
+    """Big-int operations the kernel of a table spends on the full rows."""
+    rows = 1 << arity
+    words = [_CountedWord(variable_word(i, 0, rows)) for i in range(arity)]
+    _CountedWord.ops[0] = 0
+    assert connective_plan(arity, table)(*words, _CountedWord((1 << rows) - 1)) == table
+    return _CountedWord.ops[0]
+
+
 def test_plan_is_the_cheapest_form():
+    # no kernel costs more than the cheapest flat form: the algebraic normal
+    # form, the minterms or the complemented maxterms
     for arity, table in _plan_tables():
-        plan = connective_plan(arity, table)
-        forms = plan_forms(arity, table)
-        assert plan in forms.values(), (arity, table)
-        assert all(plan_cost(plan) <= plan_cost(form) for form in forms.values()), (arity, table)
-        # no term vanishes on the full rows, so the applier spends the whole cost
-        rows = 1 << arity
-        words = [_CountedWord(variable_word(i, 0, rows)) for i in range(arity)]
-        _CountedWord.ops[0] = 0
-        _apply_plan(plan, words, _CountedWord((1 << rows) - 1))
-        assert _CountedWord.ops[0] == plan_cost(plan), (arity, table)
+        flat = min(plan_cost(form) for form in plan_forms(arity, table).values())
+        assert _kernel_ops(arity, table) <= flat, (arity, table)
+    nor = BooleanFunction.from_bits("nor", "1000")
+    counts = [(AND2, 1), (OR2, 1), (XOR2, 1), (NAND2, 2), (nor, 2), (MAJ3, 4)]
+    assert [(f.name, _kernel_ops(f.arity, f.table)) for f, _ in counts] == [(f.name, n) for f, n in counts]
+
+
+def test_wide_random_kernel_is_factored():
+    # a random 16-ary table: its flat algebraic normal form costs one op per
+    # factor of each monomial, about 262000, and the factored kernel a fifth
+    arity, rows = 16, 1 << 16
+    table = random.Random("wide-random").getrandbits(rows)
+    cols = [variable_word(i, 0, rows) for i in range(arity)]
+    anf = table
+    for i, col in enumerate(cols):
+        anf ^= anf << (1 << i) & col
+    flat = sum((anf & col).bit_count() for col in cols) + (anf & 1)
+    assert 4 * _kernel_ops(arity, table) < flat
+
+
+_KERNEL_SOURCE = re.compile(r"lambda ((?:a[0-9]+, )*)M: ([aM0-9&|^() ]*)")
+
+
+@pytest.fixture
+def kernel_sources(monkeypatch):
+    """Every source `connective_plan` hands to `compile` during the test."""
+    sources = []
+
+    def recording_compile(source, *rest):
+        sources.append(source)
+        return compile(source, *rest)
+
+    monkeypatch.setattr(formula, "compile", recording_compile, raising=False)
+    connective_plan.cache_clear()
+    yield sources
+    connective_plan.cache_clear()
+
+
+def test_kernel_sources_use_only_arguments_mask_and_operators(kernel_sources):
+    # connectives named after builtins, applied through both appliers
+    base = Base.of(
+        BooleanFunction("__import__", 3, MAJ3.table),
+        BooleanFunction("eval", 2, NAND2.table),
+        BooleanFunction("exec", 0, 0),
+    )
+    phi = parse_formula("__import__(eval(x, exec), y, eval(y, z))", base)
+    words = [0b01010101, 0b00110011, 0b00001111]
+    assert evaluate_block(phi, words, 8) == lane_reference(phi, words, 8, phi.variables)
+    assert list(Program.compile((phi,), phi.variables).replay(words, 8)) == [evaluate_block(phi, words, 8)]
+    assert len(kernel_sources) == 3
+    tables = set(_plan_tables())
+    for arity, table in tables:
+        connective_plan(arity, table)
+    assert len(kernel_sources) == len(tables)
+    for source in kernel_sources:
+        match = _KERNEL_SOURCE.fullmatch(source)
+        assert match, source
+        params = match.group(1).split(", ")[:-1]
+        assert params == [f"a{i}" for i in range(len(params))], source
+        tokens = re.findall(r"a[0-9]+|M|0|[&|^()]", match.group(2))
+        assert "".join(tokens) == match.group(2).replace(" ", ""), source
+        assert {t for t in tokens if t[0] == "a"} <= set(params), source
 
 
 _LANE_BASES = {
