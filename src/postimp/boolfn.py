@@ -4,11 +4,18 @@ A function of arity n is stored as an integer whose bit j holds the value at
 the argument tuple encoded by j, with x1 on the least significant index bit:
 a_i = (j >> (i - 1)) & 1.  The constants are the 0-ary functions with tables
 "0" and "1".
+
+Every Post-class test reads the whole table at once.  `variable_word` gives
+the column of each input, so monotonicity and relevance cost one shift and
+mask per input, and membership in L, V or E is one comparison with the table
+that f's constant and its relevant columns predict.  The coefficient forms
+carry what the formula extractors read off a formula.
 """
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 MAX_ARITY = 16
 
@@ -57,9 +64,20 @@ class BooleanFunction:
         return "".join("1" if self.table >> j & 1 else "0" for j in range(self.rows))
 
 
-def _zero_positions(rows: int, period: int) -> int:
-    # mask of table indices whose bit at the given period is clear
-    return ((1 << rows) - 1) // ((1 << period) + 1)
+def variable_word(i: int, start: int, width: int) -> int:
+    """Lane pattern of variable i over assignments start..start+width-1.
+
+    `start` must be a multiple of `width`, which must be a power of two; lane
+    k then carries bit ((start + k) >> i) & 1.  With start 0 and width
+    f.rows it is the column of x_{i+1} in f's table.
+    """
+    period = 1 << i
+    if period >= width:
+        return (1 << width) - 1 if start >> i & 1 else 0
+    word = ((1 << period) - 1) << period  # one period of 0s, then one of 1s
+    while word.bit_length() < width:
+        word |= word << word.bit_length()
+    return word
 
 
 def is_c_reproducing(f: BooleanFunction, c: int) -> bool:
@@ -70,9 +88,7 @@ def is_c_reproducing(f: BooleanFunction, c: int) -> bool:
 def is_monotone(f: BooleanFunction) -> bool:
     """No single 0->1 input flip ever decreases the output."""
     for i in range(f.arity):
-        period = 1 << i
-        low = _zero_positions(f.rows, period)
-        if (f.table & low) & ~(f.table >> period):
+        if f.table & ~variable_word(i, 0, f.rows) & ~(f.table >> (1 << i)):
             return False
     return True
 
@@ -111,20 +127,11 @@ def separation_degree(f: BooleanFunction, c: int) -> float:
 
 def relevant_variables(f: BooleanFunction) -> frozenset:
     """1-based indices of inputs that can flip the output."""
-    out = set()
-    for i in range(f.arity):
-        period = 1 << i
-        if (f.table ^ (f.table >> period)) & _zero_positions(f.rows, period):
-            out.add(i + 1)
-    return frozenset(out)
-
-
-def _assignment_mask(args: Sequence[int]) -> int:
-    # pack x1, x2, ... into bits 0, 1, ... of one int
-    packed = 0
-    for i, a in enumerate(args):
-        packed |= (a & 1) << i
-    return packed
+    return frozenset(
+        i + 1
+        for i in range(f.arity)
+        if (f.table ^ f.table >> (1 << i)) & ~variable_word(i, 0, f.rows)
+    )
 
 
 @dataclass(frozen=True)
@@ -153,9 +160,6 @@ class _CoefficientForm:
 class LinearNormalForm(_CoefficientForm):
     """c0 xor c1*x1 xor ... xor cn*xn; with at most one ci set, the unary form."""
 
-    def value(self, args: Sequence[int]) -> int:
-        return self.c0 ^ ((self.mask & _assignment_mask(args)).bit_count() & 1)
-
 
 @dataclass(frozen=True)
 class OrNormalForm(_CoefficientForm):
@@ -165,9 +169,6 @@ class OrNormalForm(_CoefficientForm):
     def from_flips(cls, c0: int, flips: int, n: int):
         # flips are read at the all-0 point; a constant-true form keeps every coefficient
         return cls(c0, (1 << n) - 1 if c0 else flips, n)
-
-    def value(self, args: Sequence[int]) -> int:
-        return 1 if self.c0 or self.mask & _assignment_mask(args) else 0
 
 
 @dataclass(frozen=True)
@@ -179,47 +180,31 @@ class AndNormalForm(_CoefficientForm):
         # flips are read at the all-1 point; a constant-false form keeps every coefficient
         return cls(c0, flips if c0 else (1 << n) - 1, n)
 
-    def value(self, args: Sequence[int]) -> int:
-        return 1 if self.c0 and not self.mask & ~_assignment_mask(args) else 0
+
+def _predicted(f: BooleanFunction, point: int, op) -> bool:
+    """Is f its value at row `point` combined by `op` with the columns of its
+    relevant variables?  That table is f's only candidate in L (^ from row
+    0), V (| from row 0) or E (& from the top row), so one comparison of
+    whole tables decides membership."""
+    word = (1 << f.rows) - 1 if f.table >> point & 1 else 0
+    for i in relevant_variables(f):
+        word = op(word, variable_word(i - 1, 0, f.rows))
+    return word == f.table
 
 
-def _verified(f, nf):
-    for j in range(f.rows):
-        args = [(j >> i) & 1 for i in range(f.arity)]
-        if nf.value(args) != (f.table >> j & 1):
-            return None
-    return nf
+def is_linear(f: BooleanFunction) -> bool:
+    """f = c0 xor c1*x1 xor ... xor cn*xn (Post's class L)."""
+    return _predicted(f, 0, operator.xor)
 
 
-def _table_flips(f: BooleanFunction, point: int):
-    """f at the given input index, its arity, and the mask of inputs whose
-    single flip changes that value."""
-    c0 = f.table >> point & 1
-    flips = 0
-    for i in range(f.arity):
-        flips |= ((f.table >> (point ^ (1 << i)) & 1) ^ c0) << i
-    return c0, flips, f.arity
+def is_disjunction(f: BooleanFunction) -> bool:
+    """f = c0 or a disjunction of variables (Post's class V)."""
+    return _predicted(f, 0, operator.or_)
 
 
-def as_linear(f: BooleanFunction) -> Optional[LinearNormalForm]:
-    """Linear form read off at the zero and unit inputs, verified row-exactly."""
-    return _verified(f, LinearNormalForm.from_flips(*_table_flips(f, 0)))
-
-
-def as_disjunction(f: BooleanFunction) -> Optional[OrNormalForm]:
-    return _verified(f, OrNormalForm.from_flips(*_table_flips(f, 0)))
-
-
-def as_conjunction(f: BooleanFunction) -> Optional[AndNormalForm]:
-    return _verified(f, AndNormalForm.from_flips(*_table_flips(f, f.rows - 1)))
-
-
-def as_unary(f: BooleanFunction) -> Optional[LinearNormalForm]:
-    """A constant or a literal, as the linear form with at most one coefficient;
-    such an f is always linear, so no row check is needed."""
-    if len(relevant_variables(f)) > 1:
-        return None
-    return LinearNormalForm.from_flips(*_table_flips(f, 0))
+def is_conjunction(f: BooleanFunction) -> bool:
+    """f = c1 and a conjunction of variables (Post's class E)."""
+    return _predicted(f, f.rows - 1, operator.and_)
 
 
 def read_functions(path) -> list:

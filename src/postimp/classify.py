@@ -1,13 +1,16 @@
 """Complexity classification of a connective base, and the closure of a base
 at a fixed arity, used to cross-validate the classification.
 
-The fast classifier tests fragment membership function by function: a base
-whose connectives are all disjunctions (or all conjunctions) is constant-depth
+The fast classifier tests membership in the Post classes V, E and L
+connective by connective, each by one comparison of whole truth tables
+(`boolfn.is_disjunction`, `is_conjunction`, `is_linear`): a base whose
+connectives are all disjunctions (or all conjunctions) is constant-depth
 decidable; an all-linear base is parity-hard once some connective has two or
 more relevant variables (identifying variables in such a connective yields the
-ternary xor, so the closure reaches the full linear region); an all-unary base
-is easy unless it can negate.  Everything else composes one of the three hard
-ternary generators, which the closure confirms independently.
+ternary xor, so the closure reaches the full linear region); otherwise every
+connective is a constant or a literal, and since constants and projections
+are disjunctions, some connective negates.  Everything else composes one of
+the three hard ternary generators, which the closure confirms independently.
 
 Every clone is the intersection of some of the Post classes R0, R1, M, D, L,
 V, E, N, S0^m and S1^m (Boehler, Creignou, Reith, Vollmer, "Playing with
@@ -22,8 +25,8 @@ import operator
 from dataclasses import dataclass
 
 from . import boolfn
-from .boolfn import BooleanFunction, relevant_variables
-from .formula import Base, variable_word
+from .boolfn import BooleanFunction, relevant_variables, variable_word
+from .formula import Base
 
 MAX_CLOSURE_ARITY = 4
 
@@ -41,7 +44,7 @@ class Fragment(enum.Enum):
     OR = "or"
     AND = "and"
     UNARY = "unary"
-    TRIVIAL = "trivial"
+    TRIVIAL = "trivial"  # never classified: such a base lies in V; dispatch(override=...) takes it
 
 
 @dataclass(frozen=True)
@@ -53,32 +56,27 @@ class ImpComplexity:
 
 def classify_base(base: Base) -> ImpComplexity:
     """Complexity of the implication problem with set-valued premises."""
-    non_disjunction = next((f for f in base.functions if boolfn.as_disjunction(f) is None), None)
+    non_disjunction = next((f for f in base.functions if not boolfn.is_disjunction(f)), None)
     if non_disjunction is None:
         return ImpComplexity(
             ImpClass.AC0, Fragment.OR, "every connective is a disjunction of variables and constants"
         )
-    non_conjunction = next((f for f in base.functions if boolfn.as_conjunction(f) is None), None)
+    non_conjunction = next((f for f in base.functions if not boolfn.is_conjunction(f)), None)
     if non_conjunction is None:
         return ImpComplexity(
             ImpClass.AC0, Fragment.AND, "every connective is a conjunction of variables and constants"
         )
-    forms = [(f, boolfn.as_linear(f)) for f in base.functions]
-    non_linear = next((f for f, nf in forms if nf is None), None)
+    non_linear = next((f for f in base.functions if not boolfn.is_linear(f)), None)
     if non_linear is None:
-        # a linear connective is unary when at most one coefficient is set,
-        # and it negates when that literal carries the constant 1
-        wide = next((f for f, nf in forms if nf.mask.bit_count() > 1), None)
+        wide = next((f for f in base.functions if len(relevant_variables(f)) > 1), None)
         if wide is None:
-            negation = next((f for f, nf in forms if nf.mask and nf.c0), None)
-            if negation is not None:
-                return ImpComplexity(
-                    ImpClass.AC0_MOD2,
-                    Fragment.UNARY,
-                    f"every connective depends on at most one variable and {negation.name!r} negates",
-                )
+            # constants and projections are disjunctions, so some literal
+            # here is a negation: 1 on the all-0 row
+            negation = next(f for f in base.functions if f.table & 1 and relevant_variables(f))
             return ImpComplexity(
-                ImpClass.AC0, Fragment.TRIVIAL, "every connective is a projection or a constant"
+                ImpClass.AC0_MOD2,
+                Fragment.UNARY,
+                f"every connective depends on at most one variable and {negation.name!r} negates",
             )
         return ImpComplexity(
             ImpClass.PARITYL_COMPLETE,
@@ -112,9 +110,7 @@ def _properties(f: BooleanFunction) -> tuple:
     return (
         boolfn.is_c_reproducing(f, 0), boolfn.is_c_reproducing(f, 1),
         boolfn.is_monotone(f), boolfn.is_self_dual(f),
-        boolfn.as_linear(f) is not None,
-        boolfn.as_disjunction(f) is not None,
-        boolfn.as_conjunction(f) is not None,
+        boolfn.is_linear(f), boolfn.is_disjunction(f), boolfn.is_conjunction(f),
         len(relevant_variables(f)) <= 1,
         boolfn.separation_degree(f, 0), boolfn.separation_degree(f, 1),
     )

@@ -15,6 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
+from .boolfn import variable_word
 from .classify import Fragment, classify_base, classify_base_single_premise
 from .formula import (
     Formula,
@@ -25,7 +26,6 @@ from .formula import (
     extract_linear_nf,
     extract_or_nf,
     extract_unary_nf,
-    variable_word,
 )
 from .gf2 import Gf2System, solve
 

@@ -36,6 +36,7 @@ from .boolfn import (
     LinearNormalForm,
     OrNormalForm,
     read_functions,
+    variable_word,
     write_functions,
 )
 
@@ -600,29 +601,14 @@ def _operand(form) -> str:
     return f"({text})" if cost else text
 
 
-def variable_word(i: int, start: int, width: int) -> int:
-    """Lane pattern of variable i over assignments start..start+width-1.
-
-    `start` must be a multiple of `width`, which must be a power of two; lane
-    k then carries bit ((start + k) >> i) & 1.
-    """
-    period = 1 << i
-    if period >= width:
-        return (1 << width) - 1 if start >> i & 1 else 0
-    word = ((1 << period) - 1) << period  # one period of 0s, then one of 1s
-    while word.bit_length() < width:
-        word |= word << word.bit_length()
-    return word
-
-
 def _used_functions(phi: Formula):
     names = {node.fn for node in iter_nodes(phi.root) if isinstance(node, App)}
     return [phi.base[name] for name in sorted(names)]
 
 
-def _require_fragment(phi: Formula, view, what: str) -> None:
+def _require_fragment(phi: Formula, member, what: str) -> None:
     for f in _used_functions(phi):
-        if view(f) is None:
+        if not member(f):
             raise FragmentError(f"connective {f.name!r} is not {what}")
 
 
@@ -656,19 +642,19 @@ def extract_linear_nf(phi: Formula, variables=None) -> LinearNormalForm:
     Sound only when every connective of the formula is linear, which is
     checked up front; all n+1 points go through one `evaluate_block` call.
     """
-    _require_fragment(phi, boolfn.as_linear, "linear")
+    _require_fragment(phi, boolfn.is_linear, "linear")
     return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
 def extract_or_nf(phi: Formula, variables=None) -> OrNormalForm:
     """Disjunction coefficients from the zero vector and the unit vectors."""
-    _require_fragment(phi, boolfn.as_disjunction, "a disjunction")
+    _require_fragment(phi, boolfn.is_disjunction, "a disjunction")
     return OrNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
 def extract_and_nf(phi: Formula, variables=None) -> AndNormalForm:
     """Conjunction coefficients, dually, from the all-ones and co-unit vectors."""
-    _require_fragment(phi, boolfn.as_conjunction, "a conjunction")
+    _require_fragment(phi, boolfn.is_conjunction, "a conjunction")
     return AndNormalForm.from_flips(*_flip_scan(phi, variables, 1))
 
 
@@ -678,7 +664,7 @@ def extract_unary_nf(phi: Formula, variables=None) -> LinearNormalForm:
     Every connective depends on at most one input, so the formula does too;
     such a formula is linear and its flips at the zero vector describe it.
     """
-    _require_fragment(phi, boolfn.as_unary, "unary")
+    _require_fragment(phi, lambda f: len(boolfn.relevant_variables(f)) <= 1, "unary")
     return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 

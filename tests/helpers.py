@@ -8,6 +8,7 @@ import itertools
 import math
 import random
 
+from postimp.boolfn import AndNormalForm, LinearNormalForm, OrNormalForm
 from postimp.formula import App, Var
 
 
@@ -26,6 +27,27 @@ def table_bit(f, args):
     """Value of a connective at the argument bits (x1 first), read straight
     off its truth table."""
     return f.table >> sum(a << i for i, a in enumerate(args)) & 1
+
+
+def parity_table(arity):
+    """Truth table of the xor of all `arity` inputs, row by row."""
+    table = 0
+    for m in range(1 << arity):
+        table |= (m.bit_count() & 1) << m
+    return table
+
+
+def form_value(nf, args):
+    """Value of a coefficient form at the argument bits (x1 first), from the
+    definition of its kind: c0 xor the parity, c0 or some coefficient, or c0
+    and every coefficient of the set arguments."""
+    point = sum(a << i for i, a in enumerate(args))
+    if isinstance(nf, LinearNormalForm):
+        return nf.c0 ^ (nf.mask & point).bit_count() & 1
+    if isinstance(nf, OrNormalForm):
+        return int(bool(nf.c0 or nf.mask & point))
+    assert isinstance(nf, AndNormalForm)
+    return int(bool(nf.c0 and not nf.mask & ~point))
 
 
 def depth(node):

@@ -10,7 +10,16 @@ import random
 import sys
 import time
 
-from helpers import brute_consistent, depth, dichotomy_draws, naive_implies, satisfies_all, semantic_formulas
+from helpers import (
+    brute_consistent,
+    depth,
+    dichotomy_draws,
+    naive_implies,
+    naive_value,
+    parity_table,
+    satisfies_all,
+    semantic_formulas,
+)
 from postimp.boolfn import (
     AND2,
     AND_OR3,
@@ -25,6 +34,7 @@ from postimp.boolfn import (
     XOR3,
 )
 from postimp.classify import (
+    Fragment,
     ImpClass,
     classify_base,
     classify_base_single_premise,
@@ -38,6 +48,7 @@ from postimp.decide import (
     decide_oracle,
     decide_single_linear,
     decide_unary_fragment,
+    dispatch,
 )
 from postimp.formula import (
     App,
@@ -267,9 +278,7 @@ def test_wide_connective_budget():
     # expanding it into minterms would take 32768 terms per application
     arity = 16
     names = tuple(f"x{i}" for i in range(1, arity + 1))
-    parity = 0
-    for m in range(1 << arity):
-        parity |= (m.bit_count() & 1) << m
+    parity = parity_table(arity)
     base = Base.of(BooleanFunction("xor16", arity, parity))
     phi = Formula.build(App("xor16", tuple(Var(v) for v in names)), base)
     width = 1 << arity
@@ -292,6 +301,44 @@ def test_wide_random_connective_budget():
     connective_plan.cache_clear()
     with budget("random 16-ary connective, one call of 2^16 lanes, plan included", 3.0):
         assert evaluate_block(phi, words, width) == table
+
+
+def _wide_xor_instance():
+    # ten premises and a conclusion, each one 16-ary xor of arguments drawn
+    # from 40 variables (every one of them used) and the constant top
+    arity = 16
+    base = Base.of(BooleanFunction("xor16", arity, parity_table(arity)), TOP)
+    rng = random.Random("wide-xor16")
+    names = [f"x{i}" for i in range(1, 41)]
+    stream = itertools.chain.from_iterable(rng.sample(names, len(names)) for _ in range(5))
+
+    def argument():
+        return App("top") if rng.random() < 0.125 else Var(next(stream))
+
+    formulas = [
+        Formula.build(App("xor16", tuple(argument() for _ in range(arity))), base) for _ in range(11)
+    ]
+    return Instance.build(base, formulas[:10], formulas[10])
+
+
+def test_wide_linear_instance_budget():
+    # membership in L, V and E is one comparison of whole tables, so a 16-ary
+    # connective costs the classifier and each extraction no row-by-row walk
+    inst = _wide_xor_instance()
+    assert len(inst.variables) == 40
+    connective_plan.cache_clear()
+    with budget("11 formulae of a 16-ary xor over 40 variables, dispatched", 1.0):
+        decision = dispatch(inst)
+    assert decision.fragment_used is Fragment.LINEAR and not decision.implies
+    env = decision.counterexample
+    assert all(naive_value(p.root, inst.base, env) for p in inst.premises)
+    assert not naive_value(inst.conclusion.root, inst.base, env)
+    wide_random = BooleanFunction("rnd16", 16, random.Random("wide-random").getrandbits(1 << 16))
+    for f, expected in ((inst.base["xor16"], ImpClass.PARITYL_COMPLETE), (wide_random, ImpClass.CONP_COMPLETE)):
+        base = Base.of(f, TOP)
+        with budget(f"classify {{{f.name}, top}}", 0.1):
+            verdict = classify_base(base)
+        assert verdict.complexity is expected
 
 
 def test_closure_arity_4_budget(capsys, tmp_path):

@@ -1,10 +1,11 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import table_bit
+from helpers import parity_table, table_bit
 from postimp import boolfn
 from postimp.boolfn import (
     AND2,
@@ -18,12 +19,11 @@ from postimp.boolfn import (
     XOR3,
     ArityError,
     BooleanFunction,
-    as_conjunction,
-    as_disjunction,
-    as_linear,
-    as_unary,
     dual,
     is_c_reproducing,
+    is_conjunction,
+    is_disjunction,
+    is_linear,
     is_monotone,
     is_self_dual,
     read_functions,
@@ -94,14 +94,12 @@ def test_relevant_variables():
 
 
 def test_normal_form_examples():
-    assert as_linear(XOR3) == boolfn.LinearNormalForm(0, 0b111, 3)
-    assert as_disjunction(OR2) == boolfn.OrNormalForm(0, 0b11, 2)
-    assert as_linear(OR2) is None
-    nf = as_unary(NOT)
-    assert nf == boolfn.LinearNormalForm(1, 0b1, 1)
-    assert as_disjunction(NOT) is None
-    assert as_conjunction(AND2) == boolfn.AndNormalForm(1, 0b11, 2)
-    assert as_unary(TOP) == boolfn.LinearNormalForm(1, 0, 0)
+    assert is_linear(XOR3) and is_linear(NOT) and is_linear(TOP)
+    assert is_disjunction(OR2) and is_disjunction(TOP) and is_disjunction(BOT)
+    assert not is_linear(OR2)
+    assert not is_disjunction(NOT) and not is_conjunction(NOT)
+    assert is_conjunction(AND2) and not is_disjunction(AND2)
+    assert not is_linear(MAJ3) and not is_disjunction(MAJ3) and not is_conjunction(MAJ3)
 
 
 # ---- independent re-derivations for the exhaustive sweep ----
@@ -196,19 +194,80 @@ def test_exhaustive_property_sweep(arity):
         assert relevant_variables(f) == _slow_relevant(f)
 
 
+def _assert_predicates_match_search(f):
+    assert is_linear(f) == _search_linear(f)
+    assert is_disjunction(f) == _search_disjunction(f)
+    assert is_conjunction(f) == _search_conjunction(f)
+    if is_linear(f) and is_disjunction(f):
+        assert len(relevant_variables(f)) <= 1
+
+
 @pytest.mark.parametrize("arity", [0, 1, 2, 3])
 def test_exhaustive_normal_form_sweep(arity):
     for table in range(1 << (1 << arity)):
+        _assert_predicates_match_search(BooleanFunction("f", arity, table))
+
+
+def _form_table(arity, kind, c0, mask):
+    # the table of c0 combined with the masked variables, row by row
+    table = 0
+    for a in _rows(arity):
+        chosen = [x for i, x in enumerate(a) if mask >> i & 1]
+        if kind == "linear":
+            value = c0 ^ sum(chosen) % 2
+        elif kind == "or":
+            value = c0 | any(chosen)
+        else:
+            value = c0 & all(chosen)
+        table |= value << sum(x << i for i, x in enumerate(a))
+    return table
+
+
+@pytest.mark.parametrize("arity", [4, 5, 6])
+def test_seeded_normal_form_sweep(arity):
+    # 64 tables per arity: random ones (almost never in L, V or E) and, in
+    # equal parts, members of each class with random coefficients
+    rng = random.Random(f"predicates-{arity}")
+    for trial in range(64):
+        kind = ("random", "linear", "or", "and")[trial % 4]
+        if kind == "random":
+            table = rng.getrandbits(1 << arity)
+        else:
+            table = _form_table(arity, kind, rng.getrandbits(1), rng.getrandbits(arity))
+        _assert_predicates_match_search(BooleanFunction("f", arity, table))
+
+
+def test_wide_predicates_and_single_row_flips():
+    # 16-ary members of L, V and E, and every table one row away from them
+    # at the edge rows and at 64 seeded rows: a flip leaves the class unless
+    # it lands on another member (a disjunction of fewer variables, or a
+    # constant)
+    arity = 16
+    rows = 1 << arity
+    top = rows - 1
+    full = (1 << rows) - 1
+    xor16 = parity_table(arity)
+    or16 = full ^ 1
+    and16 = 1 << top
+    members = [
+        (is_linear, xor16, lambda r: False),
+        (is_linear, xor16 ^ full, lambda r: False),  # the complement, c0 = 1
+        (is_disjunction, or16, lambda r: r.bit_count() <= 1),
+        (is_disjunction, full, lambda r: r == 0),  # or16 with the constant 1
+        (is_conjunction, and16, lambda r: (top ^ r).bit_count() <= 1),
+        (is_conjunction, 0, lambda r: r == top),  # and16 with the constant 0
+    ]
+    rng = random.Random("wide-flips")
+    flips = [0, top] + [1 << i for i in range(arity)] + [top ^ 1 << i for i in range(arity)]
+    flips += [rng.randrange(rows) for _ in range(64)]
+    for member, table, stays in members:
+        assert member(BooleanFunction("f", arity, table))
+        for r in flips:
+            assert member(BooleanFunction("f", arity, table ^ 1 << r)) == stays(r), (table, r)
+    # the complements of a disjunction and a conjunction lie in none of them
+    for table in (or16 ^ full, and16 ^ full):
         f = BooleanFunction("f", arity, table)
-        assert (as_linear(f) is not None) == _search_linear(f)
-        assert (as_disjunction(f) is not None) == _search_disjunction(f)
-        assert (as_conjunction(f) is not None) == _search_conjunction(f)
-        assert (as_unary(f) is not None) == (len(relevant_variables(f)) <= 1)
-        for nf in (as_linear(f), as_disjunction(f), as_conjunction(f), as_unary(f)):
-            if nf is not None:
-                assert all(nf.value(a) == table_bit(f, a) for a in _rows(arity))
-        if as_linear(f) is not None and as_disjunction(f) is not None:
-            assert len(relevant_variables(f)) <= 1
+        assert not is_linear(f) and not is_disjunction(f) and not is_conjunction(f)
 
 
 @given(st.integers(0, 6).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, (1 << (1 << a)) - 1))))

@@ -52,6 +52,66 @@ def test_classify_single_premise(capsys, linear_base_file):
     assert record["class"] == "AC0[2]"
 
 
+# one base per reachable branch of the classifier, plus {top, bot}, which
+# is a base of constants and so falls in the disjunction branch
+WITNESS_BASES = {
+    "or+consts": "or 2 0111\ntop 0 1\nbot 0 0\n",
+    "and": "and 2 0001\n",
+    "not+top": "not 1 10\ntop 0 1\n",
+    "xor+top": "xor 2 0110\ntop 0 1\n",
+    "and+not": "and 2 0001\nnot 1 10\n",
+    "consts": "top 0 1\nbot 0 0\n",
+}
+GOLDEN_WITNESSES = {
+    "or+consts": ("AC0", "or", "every connective is a disjunction of variables and constants"),
+    "and": ("AC0", "and", "every connective is a conjunction of variables and constants"),
+    "not+top": (
+        "AC0[2]",
+        "unary",
+        "every connective depends on at most one variable and 'not' negates",
+    ),
+    "xor+top": (
+        "ParityL-complete",
+        "linear",
+        "every connective is linear and 'xor' depends on 2 variables",
+    ),
+    "and+not": (
+        "coNP-complete",
+        "general",
+        "'and' is not a disjunction, 'not' is not a conjunction, and 'and' is not linear",
+    ),
+    "consts": ("AC0", "or", "every connective is a disjunction of variables and constants"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_BASES))
+def test_classify_witness_bytes(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.base"
+    path.write_text(WITNESS_BASES[name])
+    klass, fragment, witness = GOLDEN_WITNESSES[name]
+    for problem, flags in (("IMP", ()), ("IMP1", ("--single-premise",))):
+        if problem == "IMP1" and fragment == "linear":
+            klass, witness = "AC0[2]", witness + "; a single premise reduces to coefficient comparison"
+        code, out, err = run(capsys, "classify", "--base", str(path), *flags, "--format", "record")
+        assert (code, err) == (0, "")
+        assert out == (
+            f'{{"class": "{klass}", "fragment": "{fragment}", "problem": "{problem}", '
+            f'"witness": "{witness}"}}\n'
+        )
+
+
+def test_classify_single_premise_witness_bytes(capsys, tmp_path):
+    path = tmp_path / "xor3.base"
+    path.write_text("xor3 3 01101001\n")
+    code, out, _ = run(capsys, "classify", "--base", str(path), "--single-premise", "--format", "record")
+    assert code == 0
+    assert out == (
+        '{"class": "AC0[2]", "fragment": "linear", "problem": "IMP1", "witness": '
+        '"every connective is linear and \'xor3\' depends on 3 variables; '
+        'a single premise reduces to coefficient comparison"}\n'
+    )
+
+
 def test_decide_with_header_and_counterexample(capsys, tmp_path, base_file):
     inst = tmp_path / "inst.txt"
     inst.write_text(f"base: {base_file.name}\npremise: x\nconclusion: and(x, y)\n")

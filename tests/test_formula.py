@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import lane_reference, naive_table, naive_value, plan_cost, plan_forms
+from helpers import form_value, lane_reference, naive_table, naive_value, plan_cost, plan_forms
 from postimp import formula
 from postimp.boolfn import (
     AND2,
@@ -493,7 +493,7 @@ def test_extraction_reconstructs_truth_table(base, extract):
         nf = extract(phi, names)
         for j in range(1 << len(names)):
             sigma = [(j >> i) & 1 for i in range(len(names))]
-            assert nf.value(sigma) == evaluate(phi, sigma, names), format_formula(phi)
+            assert form_value(nf, sigma) == evaluate(phi, sigma, names), format_formula(phi)
 
 
 
@@ -563,11 +563,11 @@ def test_extraction_beyond_one_word(base, extract, kind):
             assert absent and not any(nf.mask >> i & 1 for i in absent)
         for _ in range(12):
             sigma = [rng.getrandbits(1) for _ in order]
-            assert nf.value(sigma) == evaluate(phi, sigma, order)
+            assert form_value(nf, sigma) == evaluate(phi, sigma, order)
         if not phi.variables:
             bare = extract(phi, ())
             assert (bare.c0, bare.mask, bare.n) == (c0, 0, 0)
-            assert bare.value([]) == evaluate(phi, [], ())
+            assert form_value(bare, []) == evaluate(phi, [], ())
 
 
 def test_instance_variable_order():
