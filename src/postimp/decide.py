@@ -7,8 +7,9 @@ literal comparison, and single linear premises a three-way coefficient rule.
 The general case enumerates assignments with bit-sliced evaluation, in blocks
 of 2^16 lanes; the same enumerator doubles as the reference oracle for
 everything else.  An oracle sweep of more than one block compiles the
-instance once into a `Program` and replays it per block; a one-block sweep
-walks each formula with `evaluate_block`.
+instance once into a `Program` and replays it per block, applying the steps
+over the 16 lane variables alone in one block only; a one-block sweep walks
+each formula with `evaluate_block`.
 """
 
 import enum
@@ -67,8 +68,14 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     more than one block, the premises and the conclusion are compiled once
     into a `Program`.  Its numbering computes a subterm shared by several
     formulae once per block, and it releases each word after its last
-    reader.  A one-block sweep walks each formula with `evaluate_block`
-    instead: there a compile costs more than it saves.
+    reader.  The first 16 variables are its lane variables, whose words are
+    the same in every block, so a step over them alone is invariant: the
+    first block that reaches a formula applies all its steps, and a later
+    block applies only its variant steps and reads the kept invariant words.
+    Those are bounded by `formula._KEPT_WORDS`; an instance that needs more
+    applies every step in every block it reaches.  A one-block sweep walks
+    each formula with `evaluate_block` instead: there a compile costs more
+    than it saves.
     """
     n = len(inst.variables)
     if n > max_vars:
@@ -77,18 +84,16 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     width = 1 << wbits
     mask = (1 << width) - 1
     formulas = (*inst.premises, inst.conclusion)
-    if n > wbits:
-        sweep = Program.compile(formulas, inst.variables).replay
-    else:
-        def sweep(words, width):
-            return (evaluate_block(phi, words, width, inst.variables) for phi in formulas)
     low_words = [variable_word(i, 0, width) for i in range(wbits)]
-    for block in range(1 << (n - wbits)):
-        start = block << wbits
-        words = low_words + [
-            mask if start >> i & 1 else 0 for i in range(wbits, n)
-        ]
-        results = sweep(words, width)
+    blocks = (
+        low_words + [mask if block >> i & 1 else 0 for i in range(n - wbits)]
+        for block in range(1 << (n - wbits))
+    )
+    if n > wbits:
+        sweep = Program.compile(formulas, inst.variables, wbits).replay(blocks, width)
+    else:
+        sweep = ((evaluate_block(phi, words, width, inst.variables) for phi in formulas) for words in blocks)
+    for block, results in enumerate(sweep):
         sat = mask
         for _ in inst.premises:
             sat &= next(results)
@@ -98,7 +103,7 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
             continue
         bad = sat & (next(results) ^ mask)
         if bad:
-            index = start + (bad & -bad).bit_length() - 1
+            index = (block << wbits) + (bad & -bad).bit_length() - 1
             sigma = {name: index >> i & 1 for i, name in enumerate(inst.variables)}
             return Decision(
                 False,
@@ -237,8 +242,9 @@ def decide_single_linear(premise: Formula, conclusion: Formula) -> Decision:
     """Single linear premise: implication holds iff the premise is constant
     false, the conclusion is constant true, or both have identical parity
     coefficients."""
-    inst = Instance.build(premise.base, (premise,), conclusion)
-    order = inst.variables
+    if conclusion.base != premise.base:
+        raise ValueError("all formulae of an instance must share its base")
+    order = tuple(dict.fromkeys((*premise.variables, *conclusion.variables)))
     left = extract_linear_nf(premise, order)
     right = extract_linear_nf(conclusion, order)
     if left.c0 == 0 and not left.mask:

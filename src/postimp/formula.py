@@ -15,6 +15,10 @@ big-int operation per application and `maj` four.  `Program` compiles
 several formulae over one variable order into one straight-line program of
 kernel applications: equal subterms are numbered by (connective, argument
 slots) into one step, and each word is released after its last reader.
+A step over the lane variables alone, whose words are the same in every
+block, is invariant: a replay applies it only in the first block that
+reaches its formula, and keeps the invariant words that later blocks read,
+up to `_KEPT_WORDS` of them.
 Compiling costs more than one walk, so only a caller that evaluates the
 same formulae on many blocks (the oracle above 2^16 assignments) compiles.
 All evaluation walks are iterative, so formula depth is bounded only by
@@ -345,33 +349,58 @@ def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=Non
     return values[0]
 
 
+# Kept words a `Program` may hold across blocks; see the `Program` docstring.
+_KEPT_WORDS = 64
+
+
 @dataclass(frozen=True, slots=True)
 class Program:
     """Formulae over one base and one variable order, compiled into one
-    straight-line program.
+    straight-line program that is replayed block after block.
 
     Slots 0..n-1 hold the variable words, and slot n+k holds the result of
-    step k.  A step is `(plan, argument slots, released slots)`, in
+    step k.  A step is `(slot, plan, argument slots, released slots)`, in
     post-order.  Steps are numbered by (connective name, argument slots), so
     each distinct subterm gets one step, whether its copies are one shared
-    object or were built apart.  `segments` holds one entry per formula, in
-    order: its steps, its root slot, and the slots released once the root
-    is read.  Each slot is released after its last reader, so only words
-    that are still to be read stay alive.
+    object or were built apart.
+
+    The first `lanes` variables are the lane variables, whose words are the
+    same in every block.  A step is invariant when each of its arguments is
+    a lane variable or an invariant step, so its word is the same in every
+    block too; any other step is variant.  An invariant word is kept for
+    later blocks when a variant step, a step of a later formula or a
+    formula's root reads it.  `segments` holds one entry per formula, in
+    order: all its steps, its variant steps, the kept words among its steps,
+    its root slot, and the slots released once the root is read.  Kept words
+    are never released; every other slot is released after its last reader,
+    so only words that are still to be read stay alive.
+
+    A compile that would keep more than `_KEPT_WORDS` words marks no step
+    invariant, so every block applies every step it reaches.  A word of
+    2^16 lanes takes 8 KiB, so 64 kept words add at most 512 KiB to a
+    sweep's live words.  The coNP-base instances of 20 variables that the
+    benchmark's general-sweep workload draws (DNF reductions and ANF
+    premises) keep 7 to 32 words, so 64 leaves them twice that.  A
+    22-variable reduction of a 600-term DNF, whose literal pairs are shared
+    across the whole disjunction, would keep 203 and raise its peak memory
+    from 1.6 to 3.1 MB; it replays without hoisting.
     """
 
     variables: tuple
     segments: tuple
 
     @classmethod
-    def compile(cls, formulas, variables) -> "Program":
+    def compile(cls, formulas, variables, lanes: int) -> "Program":
         n = len(variables)
         slot_of = {name: i for i, name in enumerate(variables)}
         numbering = {}  # connective name -> (plan, {argument slots: slot})
         seen = {}  # id(node) -> slot, so a shared subtree object is walked once
         step_plans, step_args = [], []
+        fixed = [i < lanes for i in range(n)]  # per slot: invariant
+        kept = set()  # invariant words a variant step, a later formula or a root reads
         ends = []  # (steps so far, root slot) after each formula
         for phi in formulas:
+            first = n + len(step_args)  # the formula's first step slot
             out = []
             stack = [(phi.root, False)]
             while stack:
@@ -402,11 +431,22 @@ class Program:
                         slot = slots[args] = n + len(step_args)
                         step_plans.append(plan)
                         step_args.append(args)
+                        invariant = all(map(fixed.__getitem__, args))
+                        fixed.append(invariant)
+                        for a in args:
+                            if a >= n and fixed[a] and (a < first or not invariant):
+                                kept.add(a)
                 seen[id(node)] = slot
                 out.append(slot)
-            ends.append((len(step_args), out[0]))
+            root = out[0]
+            if root >= n and fixed[root]:
+                kept.add(root)
+            ends.append((len(step_args), root))
+        if len(kept) > _KEPT_WORDS:
+            fixed = [False] * len(fixed)
+            kept = set()
         # walking backwards, the first reader of a slot is its last one
-        read = set()
+        read = set(kept)
         segments = []
         for j in reversed(range(len(ends))):
             stop, root = ends[j]
@@ -419,32 +459,55 @@ class Program:
                 free = tuple(a for a in args if a not in read)
                 read.update(args)
                 # a step that releases all its arguments shares their tuple
-                body.append((step_plans[k], args, args if free == args else free))
+                body.append((n + k, step_plans[k], args, args if free == args else free))
             body.reverse()
-            segments.append((tuple(body), root, release))
+            # tuples of lists: a tuple built from a generator is resized,
+            # and CPython's free list for its final size then holds on to it
+            variant = tuple([step for step in body if not fixed[step[0]]])
+            keep = tuple([step[0] for step in body if step[0] in kept])
+            segments.append((tuple(body), variant, keep, root, release))
         segments.reverse()
         return cls(tuple(variables), tuple(segments))
 
-    def replay(self, words: Sequence[int], width: int):
-        """Yield each formula's word as `evaluate_block` returns it, in order.
+    def replay(self, blocks, width: int):
+        """For each block of variable words, yield a generator of each
+        formula's word, in order, as `evaluate_block` returns it.
 
-        Lane k of each word holds assignment k, as in `evaluate_block`.  A
-        caller that stops early skips the steps of the formulae after it.
+        Lane k of each word holds assignment k, as in `evaluate_block`, and
+        the lane variables' words must be the same in every block.  The
+        first block that reaches a formula applies all its steps and keeps
+        its kept words; a later block applies only its variant steps.  Read
+        a block's words in order and leave it before drawing the next one:
+        a caller that stops early skips the steps of the formulae after it.
         """
         n = len(self.variables)
-        if len(words) < n:
-            raise ValueError(f"{len(words)} words supplied for {n} variables")
         mask = (1 << width) - 1
-        values = [w & mask if w >> width else w for w in words[:n]]
-        for body, root, release in self.segments:
-            for plan, args, free in body:
-                values.append(_apply_plan(plan, [values[a] for a in args], mask))
-                for a in free:
+        kept = [None] * (n + sum(len(body) for body, *_ in self.segments))
+        reached = 0  # formulae whose steps an earlier block applied
+
+        def formulas(values):
+            nonlocal reached
+            for j, (body, variant, keep, root, release) in enumerate(self.segments):
+                first = j == reached
+                for slot, plan, args, free in body if first else variant:
+                    values[slot] = _apply_plan(plan, [values[a] for a in args], mask)
+                    for a in free:
+                        values[a] = None
+                if first:
+                    reached += 1
+                    for slot in keep:
+                        kept[slot] = values[slot]
+                word = values[root]
+                for a in release:
                     values[a] = None
-            word = values[root]
-            for a in release:
-                values[a] = None
-            yield word
+                yield word
+
+        for words in blocks:
+            if len(words) < n:
+                raise ValueError(f"{len(words)} words supplied for {n} variables")
+            values = kept[:]
+            values[:n] = [w & mask if w >> width else w for w in words[:n]]
+            yield formulas(values)
 
 
 def _apply_plan(plan, args: Sequence[int], mask: int) -> int:

@@ -21,12 +21,17 @@ from postimp.decide import (
 )
 from postimp import formula
 from postimp.formula import (
+    App,
     Base,
+    Formula,
     FragmentError,
     Instance,
     Program,
+    Var,
+    connective_count,
     evaluate,
     evaluate_block,
+    iter_nodes,
     parse_formula,
     variable_word,
 )
@@ -159,6 +164,11 @@ def test_single_linear_decider():
     assert decide_single_linear(parse_formula("xor(x, x)", LIN), parse_formula("y", LIN)).implies
     # the constant-true conclusion needs its own rule branch
     assert decide_single_linear(parse_formula("x", LIN), parse_formula("top()", LIN)).implies
+    # the joint order puts the premise's variables first, then the conclusion's
+    swapped = parse_formula("xor(y, x)", LIN)
+    assert decide_single_linear(swapped, parse_formula("xor(z, xor(x, xor(y, z)))", LIN)).implies
+    with pytest.raises(ValueError, match="must share its base"):
+        decide_single_linear(parse_formula("x", LIN), parse_formula("x", Base.of(XOR2, TOP)))
 
 
 def both_directions(base, phi, psi):
@@ -377,11 +387,133 @@ def test_multi_block_oracle_skips_a_block_its_premises_rule_out(monkeypatch):
     assert not d.implies
     index = sum(d.counterexample[name] << i for i, name in enumerate(instance.variables))
     assert index >> 16 == 1
-    # block 0 stops at the second premise; block 1 runs every formula
-    program = Program.compile((*instance.premises, instance.conclusion), instance.variables)
-    (first, _, _), (second, _, _), (third, _, _), (conclusion, _, _) = program.segments
-    assert second == () and third and conclusion
-    assert len(applied) == 2 * len(first) + len(third) + len(conclusion)
+    # block 0 applies every step of the first premise and stops at the second;
+    # block 1 applies the first premise's variant steps and every step of the
+    # third premise and the conclusion, which no block reached before
+    program = Program.compile((*instance.premises, instance.conclusion), instance.variables, 16)
+    (first, first_variant, *_), (second, *_), (third, *_), (conclusion, conclusion_variant, *_) = program.segments
+    assert second == () and third and conclusion_variant
+    assert len(applied) == len(first) + len(first_variant) + len(third) + len(conclusion)
+
+
+def _lane_blocks(n):
+    """The oracle's blocks of words over n > 16 variables, in order."""
+    width = 1 << 16
+    mask = (1 << width) - 1
+    low = [variable_word(i, 0, width) for i in range(16)]
+    return [low + [mask if block >> i & 1 else 0 for i in range(n - 16)] for block in range(1 << (n - 16))]
+
+
+def _walk_oracle(instance):
+    """(implies, detail, counterexample) from `evaluate_block` on every
+    formula and every block, with no `Program` and no early exit."""
+    order = instance.variables
+    mask = (1 << (1 << 16)) - 1
+    for block, words in enumerate(_lane_blocks(len(order))):
+        sat = mask
+        for psi in instance.premises:
+            sat &= evaluate_block(psi, words, 1 << 16, order)
+        bad = sat & (evaluate_block(instance.conclusion, words, 1 << 16, order) ^ mask)
+        if bad:
+            index = (block << 16) + (bad & -bad).bit_length() - 1
+            sigma = {name: index >> i & 1 for i, name in enumerate(order)}
+            return False, f"assignment {index} satisfies every premise and falsifies the conclusion", sigma
+    return True, f"all {1 << len(order)} assignments checked", None
+
+
+def hoisting_instances():
+    """Seeded instances over 17 to 20 variables whose compiled programs
+    hoist the steps over the 16 lane variables x1..x16, which occur first.
+
+    Premise 1 is over the lane variables alone, so its root is invariant; it
+    holds the lane-only subterm `shared`, which the conclusion reads too.
+    Premise 2 is and(x_h, f) for a variable x_h past x16, so it vanishes on
+    all of block 0, and the conclusion is first reached in a later block.
+    The conclusion is or(and(shared, g), r), with g over the lane variables:
+    r is f, so the instance is implied; or random; or the negated conjunction
+    of every variable past x16 and a lane-only formula, so a counterexample
+    can lie only in the last block."""
+    rng = random.Random("oracle:hoisting")
+    lanes = [f"x{i}" for i in range(1, 17)]
+
+    def chain(names):
+        node = Var(names[0])
+        for name in names[1:]:
+            node = App("and", (node, Var(name)))
+        return node
+
+    out = []
+    for k in range(12):
+        names = [f"x{i}" for i in range(1, 18 + k % 4)]
+        shared = None
+        while shared is None or connective_count(shared) < 4:
+            shared = random_formula(rng, BASIC, lanes, 4).root
+        lane_only = App("or", (shared, chain(lanes)))
+        f = random_formula(rng, BASIC, names, 5).root
+        vanishing = App("and", (Var(rng.choice(names[16:])), f))
+        g = random_formula(rng, BASIC, lanes, 3).root
+        r = (
+            f,
+            random_formula(rng, BASIC, names, 5).root,
+            App("not", (App("and", (chain(names[16:]), random_formula(rng, BASIC, lanes, 4).root)),)),
+        )[k % 3]
+        conclusion = App("or", (App("and", (shared, g)), r))
+        premises = [Formula.build(lane_only, BASIC), Formula.build(vanishing, BASIC)]
+        out.append(Instance.build(BASIC, premises, Formula.build(conclusion, BASIC)))
+    return out
+
+
+def test_multi_block_oracle_matches_the_walk_on_hoisted_programs():
+    outcomes = set()
+    for instance in hoisting_instances():
+        n = len(instance.variables)
+        assert 17 <= n <= 20 and set(instance.variables[:16]) == {f"x{i}" for i in range(1, 17)}
+        words = _lane_blocks(n)[0]
+        assert evaluate_block(instance.premises[1], words, 1 << 16, instance.variables) == 0
+        program = Program.compile((*instance.premises, instance.conclusion), instance.variables, 16)
+        (lane_only, lane_only_variant, *_), *_ = program.segments
+        assert lane_only and lane_only_variant == ()
+        d = decide_oracle(instance)
+        implies, detail, sigma = _walk_oracle(instance)
+        assert (d.implies, d.fragment_used, d.detail) == (implies, Fragment.GENERAL, detail)
+        assert d.counterexample == sigma and (sigma is None or list(sigma) == list(instance.variables))
+        if sigma is not None:
+            index = sum(sigma[name] << i for i, name in enumerate(instance.variables))
+            outcomes.add("last block" if index >> 16 == (1 << (n - 16)) - 1 else "earlier block")
+        else:
+            outcomes.add("implied")
+    assert outcomes == {"implied", "earlier block", "last block"}
+
+
+def test_multi_block_oracle_applies_an_invariant_step_once(monkeypatch):
+    # 20 variables, so 16 blocks: a step over the 16 lane variables alone is
+    # applied once per sweep, any other once per block that reaches it
+    rng = random.Random("oracle:hoisting-count")
+    terms = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, 11), 3)] for _ in range(20)]
+    instance = reduce_tautdnf_monotone(DnfInput.build(terms + [[1], [-1, 2], [-1, -2]], 10))
+    order = instance.variables
+    assert len(order) == 20
+    lanes = set(order[:16])
+    premise, conclusion = instance.premises[0], instance.conclusion
+    # the tie premise vanishes on a block that sets both x9 and y9, or both
+    # x10 and y10, to 0, so 9 of the 16 blocks reach the conclusion
+    reached = sum(1 for words in _lane_blocks(20) if evaluate_block(premise, words, 1 << 16, order))
+    assert reached == 9
+    expected, invariant, seen = 0, 0, set()
+    for phi, blocks in ((premise, 16), (conclusion, reached)):
+        for node in {node for node in iter_nodes(phi.root) if isinstance(node, App)} - seen:
+            if all(leaf.name in lanes for leaf in iter_nodes(node) if isinstance(leaf, Var)):
+                expected += 1
+                invariant += 1
+            else:
+                expected += blocks
+        seen.update(iter_nodes(phi.root))
+    assert invariant > 0
+    applied = []
+    apply_plan = formula._apply_plan
+    monkeypatch.setattr(formula, "_apply_plan", lambda *args: applied.append(1) or apply_plan(*args))
+    assert decide_oracle(instance).implies
+    assert len(applied) == expected
 
 
 def test_multi_block_oracle_memory():

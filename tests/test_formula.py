@@ -281,7 +281,7 @@ def test_kernel_sources_use_only_arguments_mask_and_operators(kernel_sources):
     phi = parse_formula("__import__(eval(x, exec), y, eval(y, z))", base)
     words = [0b01010101, 0b00110011, 0b00001111]
     assert evaluate_block(phi, words, 8) == lane_reference(phi, words, 8, phi.variables)
-    assert list(Program.compile((phi,), phi.variables).replay(words, 8)) == [evaluate_block(phi, words, 8)]
+    assert _replay(Program.compile((phi,), phi.variables, 0), words, 8) == [evaluate_block(phi, words, 8)]
     assert len(kernel_sources) == 3
     tables = set(_plan_tables())
     for arity, table in tables:
@@ -350,6 +350,12 @@ def _shared_formulas(rng, base, names, count):
     return [*formulas, formulas[0], Formula.build(Var(names[-1]), base)]
 
 
+def _replay(program, words, width):
+    """Every formula's word from a replay of one block."""
+    (block,) = program.replay([words], width)
+    return list(block)
+
+
 @pytest.mark.parametrize("names", sorted(_LANE_BASES))
 def test_program_matches_walk_and_lane_reference(names):
     # words carry bits beyond the width, which no result may show
@@ -357,10 +363,10 @@ def test_program_matches_walk_and_lane_reference(names):
     rng = random.Random(f"program-{names}")
     order = tuple(f"v{i}" for i in range(1, 7))
     formulas = _shared_formulas(rng, base, order, 4)
-    program = Program.compile(formulas, order)
+    program = Program.compile(formulas, order, 0)
     for width in (1, 64, 65, 1 << 16):
         words = [rng.getrandbits(width + 3) for _ in order]
-        replayed = list(program.replay(words, width))
+        replayed = _replay(program, words, width)
         assert len(replayed) == len(formulas)
         lanes = range(width) if width <= 65 else rng.sample(range(width), 24)
         for phi, word in zip(formulas, replayed):
@@ -373,7 +379,7 @@ def test_program_matches_walk_and_lane_reference(names):
 
 
 def _steps(program):
-    return sum(len(body) for body, _root, _release in program.segments)
+    return sum(len(body) for body, *_ in program.segments)
 
 
 def test_program_numbers_each_distinct_subterm_once():
@@ -381,41 +387,77 @@ def test_program_numbers_each_distinct_subterm_once():
     terms = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, 9), 3)] for _ in range(40)]
     inst = reduce_tautdnf_d2(DnfInput.build(terms, 8))
     formulas = (*inst.premises, inst.conclusion)
-    steps = _steps(Program.compile(formulas, inst.variables))
+    steps = _steps(Program.compile(formulas, inst.variables, 0))
     # one step per (connective, argument slots): structurally equal subterms
     distinct = {node for phi in formulas for node in iter_nodes(phi.root) if isinstance(node, App)}
     assert steps == len(distinct)
     assert steps < sum(connective_count(phi.root) for phi in formulas)
     # the tie chain, read by the premise and the conclusion, is computed once
     tie = inst.premises[0].root.args[0]
-    alone = sum(_steps(Program.compile((phi,), inst.variables)) for phi in formulas)
+    alone = sum(_steps(Program.compile((phi,), inst.variables, 0)) for phi in formulas)
     assert alone - steps >= connective_count(tie)
     # the same text parsed twice compiles to the steps of one parse
     text = format_formula(inst.conclusion)
     twice = [parse_formula(text, MAJORITY_BASE) for _ in range(2)]
-    assert _steps(Program.compile(twice, inst.variables)) == _steps(Program.compile(twice[:1], inst.variables))
+    assert _steps(Program.compile(twice, inst.variables, 0)) == _steps(Program.compile(twice[:1], inst.variables, 0))
 
 
 def test_program_releases_each_slot_after_its_last_reader():
     phi = parse_formula("and(or(x, y), not(or(x, y)))", BASIC)
     psi = parse_formula("or(x, y)", BASIC)
-    program = Program.compile((phi, psi, phi), ("x", "y"))
-    (body1, root1, release1), (body2, root2, release2), (body3, root3, release3) = program.segments
+    program = Program.compile((phi, psi, phi), ("x", "y"), 0)
+    (body1, _, _, root1, release1), (body2, _, _, root2, release2), (body3, _, _, root3, release3) = program.segments
     # or(x, y) is slot 2 and is read by the second formula's root last
-    assert [args for _plan, args, _free in body1] == [(0, 1), (2,), (2, 3)]
-    assert [free for _plan, _args, free in body1] == [(0, 1), (), (3,)]
+    assert [args for _slot, _plan, args, _free in body1] == [(0, 1), (2,), (2, 3)]
+    assert [free for _slot, _plan, _args, free in body1] == [(0, 1), (), (3,)]
     assert body2 == body3 == () and (root1, root2, root3) == (4, 2, 4)
     assert (release1, release2, release3) == ((), (2,), (4,))
-    assert list(program.replay([0b0101, 0b0011], 4)) == [0, 0b0111, 0]
+    assert _replay(program, [0b0101, 0b0011], 4) == [0, 0b0111, 0]
+
+
+@pytest.mark.parametrize("names", sorted(_LANE_BASES))
+def test_program_replays_blocks_on_kept_invariant_words(names):
+    # v1..v4 are the lane variables; each block draws v5 and v6 afresh and
+    # reads a seeded prefix of the formulae, so some are first reached late;
+    # the first formulae are over the lane variables alone
+    base = _LANE_BASES[names]
+    rng = random.Random(f"program-blocks-{names}")
+    order = tuple(f"v{i}" for i in range(1, 7))
+    formulas = _shared_formulas(rng, base, order[:4], 2) + _shared_formulas(rng, base, order, 4)
+    program = Program.compile(formulas, order, 4)
+    hoisted = [len(body) - len(variant) for body, variant, *_ in program.segments]
+    assert sum(hoisted) and sum(len(keep) for _, _, keep, *_ in program.segments)
+    for width in (64, 1 << 16):
+        lanes = [rng.getrandbits(width + 3) for _ in range(4)]
+        blocks = [lanes + [rng.getrandbits(width + 3) for _ in range(2)] for _ in range(6)]
+        reads = [rng.randrange(len(formulas) + 1) for _ in blocks]
+        for words, count, results in zip(blocks, reads, program.replay(blocks, width)):
+            for phi, word in zip(formulas[:count], results):
+                assert word == evaluate_block(phi, words, width, order), (width, format_formula(phi))
+
+
+def test_program_keeps_no_invariant_word_beyond_the_bound():
+    names = [f"v{i}" for i in range(1, 17)]
+    pairs = [(a, b) for a in names for b in names if a < b]
+    for count in (formula._KEPT_WORDS, formula._KEPT_WORDS + 1):
+        # each formula is one invariant step, its own kept root
+        formulas = [parse_formula(f"and({a}, {b})", BASIC) for a, b in pairs[:count]]
+        program = Program.compile(formulas, names, 16)
+        kept = sum(len(keep) for _, _, keep, *_ in program.segments)
+        variant = sum(len(variant) for _, variant, *_ in program.segments)
+        assert (kept, variant) == ((count, 0) if count <= formula._KEPT_WORDS else (0, count))
+        words = [variable_word(i, 0, 1 << 16) for i in range(16)]
+        for results in program.replay([words, words], 1 << 16):
+            assert list(results) == [evaluate_block(phi, words, 1 << 16, names) for phi in formulas]
 
 
 def test_program_errors():
     phi = parse_formula("and(x, y)", BASIC)
     with pytest.raises(ValueError, match="missing"):
-        Program.compile((phi,), ("x",))
-    program = Program.compile((phi,), ("x", "y"))
+        Program.compile((phi,), ("x",), 0)
+    program = Program.compile((phi,), ("x", "y"), 0)
     with pytest.raises(ValueError, match="1 words supplied for 2 variables"):
-        list(program.replay([1], 1))
+        _replay(program, [1], 1)
 
 
 def _full_table(phi):
