@@ -9,10 +9,12 @@ of 2^16 lanes; the same enumerator doubles as the reference oracle for
 everything else.  An oracle sweep of more than one block compiles the
 instance once into a `Program` and replays it per block, applying the steps
 over the 16 lane variables alone in one block only; a one-block sweep walks
-each formula with `evaluate_block`.
+each formula with `evaluate_block`.  The words of the 16 lane variables are
+built once per process and shared by every sweep.
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,6 +61,13 @@ class Decision:
     counterexample: Optional[dict] = None
 
 
+@functools.cache
+def _lane_words() -> tuple:
+    """The words of the lane variables x1..x16 over one block of 2^16 lanes,
+    built on first use and shared by every sweep: 16 words of 8 KiB."""
+    return tuple(variable_word(i, 0, 1 << _BLOCK_BITS) for i in range(_BLOCK_BITS))
+
+
 def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decision:
     """Exhaustive check of all assignments, 2^min(n,16) lanes at a time.
 
@@ -75,7 +84,9 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     Those are bounded by `formula._KEPT_WORDS`; an instance that needs more
     applies every step in every block it reaches.  A one-block sweep walks
     each formula with `evaluate_block` instead: there a compile costs more
-    than it saves.
+    than it saves.  The lane variables' words come from `_lane_words`, built
+    on the first sweep; a sweep of fewer than 16 variables reads their first
+    2^n lanes.
     """
     n = len(inst.variables)
     if n > max_vars:
@@ -84,7 +95,8 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     width = 1 << wbits
     mask = (1 << width) - 1
     formulas = (*inst.premises, inst.conclusion)
-    low_words = [variable_word(i, 0, width) for i in range(wbits)]
+    # below 2^16 lanes evaluate_block masks the full lane words to the width
+    low_words = list(_lane_words()[:wbits])
     blocks = (
         low_words + [mask if block >> i & 1 else 0 for i in range(n - wbits)]
         for block in range(1 << (n - wbits))

@@ -6,15 +6,18 @@ accepts an explicit variable order so that premises and a conclusion can
 share one index.  All four extractors (linear, disjunctive, conjunctive and
 unary) read the n+1 probe points off one bit-sliced `evaluate_block` pass,
 `_flip_scan`, and return the coefficients as an int mask; a unary formula
-gets the linear form with at most one coefficient.  `evaluate_block` applies
-each connective through its `connective_plan`: a kernel compiled once per
+gets the linear form with at most one coefficient.  The one evaluation
+primitive is the connective kernel, `connective_plan`: compiled once per
 truth table from the cheapest factored form of the table (its algebraic
 normal form, minterms, complemented maxterms, and for a monotone or
 antitone table its minimal true points), so `and`, `or` and `xor` cost one
-big-int operation per application and `maj` four.  `Program` compiles
-several formulae over one variable order into one straight-line program of
-kernel applications: equal subterms are numbered by (connective, argument
-slots) into one step, and each word is released after its last reader.
+big-int operation per application and `maj` four.  A kernel reads its
+argument words from a list by index, so both callers hand it the list they
+already hold: `evaluate_block` its value stack, and a `Program` replay its
+slots.  `Program` compiles several formulae over one variable order, in
+one walk, into one straight-line program of kernel applications: equal
+subterms are numbered by (connective, argument slots) into one step, and
+each word is released after its last reader.
 A step over the lane variables alone, whose words are the same in every
 block, is invariant: a replay applies it only in the first block that
 reaches its formula, and keeps the invariant words that later blocks read,
@@ -314,38 +317,39 @@ def evaluate(phi: Formula, sigma: Sequence[int], variables=None) -> int:
 def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=None) -> int:
     """Bit-sliced evaluation: lane k of each word holds assignment k.
 
-    Applies each connective lane-wise through its `connective_plan` kernel
-    and returns the result word; `width` is the number of live lanes.  Every
-    intermediate word stays within the width's mask, so none is negative.
+    Walks the tree in post-order on a stack of words and applies each
+    connective's `connective_plan` kernel to the top `arity` of them,
+    `plan(values, -arity, ..., -1, mask)`; returns the result word.  `width`
+    is the number of live lanes.  Every intermediate word stays within the
+    width's mask, so none is negative.
     """
     order = _resolve_order(phi, variables)
     if len(words) < len(order):
         raise ValueError(f"{len(words)} words supplied for {len(order)} variables")
     env = dict(zip(order, words))
     mask = (1 << width) - 1
-    plans = {}
+    plans = {}  # connective name -> (arity, plan, stack indices of its arguments)
     values = []
-    stack = [(phi.root, False)]
+    stack = [phi.root]
     while stack:
-        node, expanded = stack.pop()
+        node = stack.pop()
         if isinstance(node, Var):
             values.append(env[node.name] & mask)
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((a, False) for a in reversed(node.args))
-            continue
-        entry = plans.get(node.fn)
-        if entry is None:
-            f = phi.base[node.fn]
-            entry = plans[node.fn] = (f.arity, connective_plan(f.arity, f.table))
-        arity, plan = entry
-        if arity:
-            args = values[-arity:]
-            del values[-arity:]
+        elif isinstance(node, App):
+            # a 1-tuple below the arguments marks the application
+            stack.append((node,))
+            stack.extend(node.args[::-1])
         else:
-            args = ()
-        values.append(_apply_plan(plan, args, mask))
+            (node,) = node
+            entry = plans.get(node.fn)
+            if entry is None:
+                f = phi.base[node.fn]
+                entry = plans[node.fn] = (f.arity, connective_plan(f.arity, f.table), tuple(range(-f.arity, 0)))
+            arity, plan, top = entry
+            word = plan(values, *top, mask)
+            if arity:
+                del values[-arity:]
+            values.append(word)
     return values[0]
 
 
@@ -360,9 +364,11 @@ class Program:
 
     Slots 0..n-1 hold the variable words, and slot n+k holds the result of
     step k.  A step is `(slot, plan, argument slots, released slots)`, in
-    post-order.  Steps are numbered by (connective name, argument slots), so
-    each distinct subterm gets one step, whether its copies are one shared
-    object or were built apart.
+    post-order; a replay applies it as
+    `values[slot] = plan(values, *argument_slots, mask)`.  Steps are
+    numbered by (connective name, argument slots), so each distinct subterm
+    gets one step, whether its copies are one shared object or were built
+    apart.
 
     The first `lanes` variables are the lane variables, whose words are the
     same in every block.  A step is invariant when each of its arguments is
@@ -393,7 +399,8 @@ class Program:
     def compile(cls, formulas, variables, lanes: int) -> "Program":
         n = len(variables)
         slot_of = {name: i for i, name in enumerate(variables)}
-        numbering = {}  # connective name -> (plan, {argument slots: slot})
+        plans = {}  # connective name -> plan
+        numbering = {}  # (connective name, argument slots) -> slot
         seen = {}  # id(node) -> slot, so a shared subtree object is walked once
         step_plans, step_args = [], []
         fixed = [i < lanes for i in range(n)]  # per slot: invariant
@@ -402,33 +409,33 @@ class Program:
         for phi in formulas:
             first = n + len(step_args)  # the formula's first step slot
             out = []
-            stack = [(phi.root, False)]
+            stack = [phi.root]
             while stack:
-                node, expanded = stack.pop()
-                slot = seen.get(id(node))
-                if slot is not None:
-                    out.append(slot)
-                    continue
+                node = stack.pop()
                 if isinstance(node, Var):
-                    if node.name not in slot_of:
+                    slot = slot_of.get(node.name)
+                    if slot is None:
                         raise ValueError(f"variable order is missing {node.name!r}")
-                    slot = slot_of[node.name]
-                elif not expanded:
-                    stack.append((node, True))
-                    stack.extend((a, False) for a in reversed(node.args))
-                    continue
+                elif isinstance(node, App):
+                    slot = seen.get(id(node))
+                    if slot is None:
+                        # a 1-tuple below the arguments marks the application
+                        stack.append((node,))
+                        stack.extend(node.args[::-1])
+                        continue
                 else:
+                    (node,) = node
                     arity = len(node.args)
                     args = tuple(out[len(out) - arity :])
                     del out[len(out) - arity :]
-                    entry = numbering.get(node.fn)
-                    if entry is None:
-                        f = phi.base[node.fn]
-                        entry = numbering[node.fn] = (connective_plan(f.arity, f.table), {})
-                    plan, slots = entry
-                    slot = slots.get(args)
+                    key = (node.fn, args)
+                    slot = numbering.get(key)
                     if slot is None:
-                        slot = slots[args] = n + len(step_args)
+                        plan = plans.get(node.fn)
+                        if plan is None:
+                            f = phi.base[node.fn]
+                            plan = plans[node.fn] = connective_plan(f.arity, f.table)
+                        slot = numbering[key] = n + len(step_args)
                         step_plans.append(plan)
                         step_args.append(args)
                         invariant = all(map(fixed.__getitem__, args))
@@ -436,7 +443,7 @@ class Program:
                         for a in args:
                             if a >= n and fixed[a] and (a < first or not invariant):
                                 kept.add(a)
-                seen[id(node)] = slot
+                    seen[id(node)] = slot
                 out.append(slot)
             root = out[0]
             if root >= n and fixed[root]:
@@ -456,7 +463,7 @@ class Program:
             body = []
             for k in reversed(range(start, stop)):
                 args = step_args[k]
-                free = tuple(a for a in args if a not in read)
+                free = tuple([a for a in args if a not in read])
                 read.update(args)
                 # a step that releases all its arguments shares their tuple
                 body.append((n + k, step_plans[k], args, args if free == args else free))
@@ -490,7 +497,7 @@ class Program:
             for j, (body, variant, keep, root, release) in enumerate(self.segments):
                 first = j == reached
                 for slot, plan, args, free in body if first else variant:
-                    values[slot] = _apply_plan(plan, [values[a] for a in args], mask)
+                    values[slot] = plan(values, *args, mask)
                     for a in free:
                         values[a] = None
                 if first:
@@ -510,24 +517,24 @@ class Program:
             yield formulas(values)
 
 
-def _apply_plan(plan, args: Sequence[int], mask: int) -> int:
-    """Apply a `connective_plan` kernel to argument words under `mask`."""
-    return plan(*args, mask)
-
-
 @functools.lru_cache(maxsize=256)
 def connective_plan(arity: int, table: int):
     """The connective compiled into a bit-sliced kernel,
-    `plan(*argument_words, mask) -> word`.
+    `plan(words, *argument_indices, mask) -> word`, which reads its
+    arguments from the list `words` at the given indices.
 
+    `Program.replay` passes its slot list and a step's argument slots, and
+    `evaluate_block` its value stack and the negative indices of the top
+    `arity` entries, so neither builds an argument list per application.
     The kernel is the cheapest factored form of the table (see
-    `_factored_form`), compiled once into a lambda whose body holds only the
-    argument names a0..a{arity-1}, the mask M, the literal 0, `&`, `|`, `^`
-    and parentheses: no name or text from a base file reaches `compile`.
-    A negated argument is `a ^ M`, so no word is ever negative.
+    `_factored_form`), compiled once into `lambda V, i0, ..., M: ...` whose
+    body holds only the argument words V[i0]..V[i{arity-1}], the mask M, the
+    literal 0, `&`, `|`, `^` and parentheses: no name or text from a base
+    file reaches `compile`.  A negated argument is `V[i] ^ M`, so no word is
+    ever negative.
     """
     _cost, body = _factored_form(arity, table)
-    params = ", ".join([*(f"a{i}" for i in range(arity)), "M"])
+    params = ", ".join(["V", *(f"i{i}" for i in range(arity)), "M"])
     return eval(compile(f"lambda {params}: {body}", "<connective kernel>", "eval"), {"__builtins__": {}})
 
 
@@ -602,7 +609,7 @@ def _factored_form(arity: int, table: int) -> tuple:
             top = len(names) - 1
             inner = monomials(members >> (1 << top), names[:top], op)
             members &= lows[top]
-            terms.append(conjoin((0, f"a{names.pop()}"), inner))
+            terms.append(conjoin((0, f"V[i{names.pop()}]"), inner))
         if const:
             terms.append((0, "M"))
         return join(terms, op)
@@ -617,7 +624,7 @@ def _factored_form(arity: int, table: int) -> tuple:
         names = list(names)
         members = pull_to_top(members, i, names)
         top = len(names) - 1
-        name = f"a{names.pop()}"
+        name = f"V[i{names.pop()}]"
         one, zero = members >> (1 << top), members & lows[top]
         terms = []
         if one:

@@ -19,7 +19,7 @@ from postimp.decide import (
     decide_unary_fragment,
     dispatch,
 )
-from postimp import formula
+from postimp import decide, formula
 from postimp.formula import (
     App,
     Base,
@@ -375,14 +375,26 @@ def test_multi_block_oracle_decisions():
             check_counterexample(instance, d)
 
 
+def _count_applications(monkeypatch):
+    """A list that grows by one entry per kernel application, through
+    `formula.connective_plan` rebound to hand out counting kernels."""
+    applied = []
+    plan = formula.connective_plan
+
+    def counting_plan(arity, table):
+        kernel = plan(arity, table)
+        return lambda *args: applied.append(1) or kernel(*args)
+
+    monkeypatch.setattr(formula, "connective_plan", counting_plan)
+    return applied
+
+
 def test_multi_block_oracle_skips_a_block_its_premises_rule_out(monkeypatch):
     instance = multi_block_instances()[-1]
     assert instance.variables[16] == "x17"
     words = [variable_word(i, 0, 1 << 16) for i in range(16)] + [0]
     assert evaluate_block(instance.premises[1], words, 1 << 16, instance.variables) == 0
-    applied = []
-    apply_plan = formula._apply_plan
-    monkeypatch.setattr(formula, "_apply_plan", lambda *args: applied.append(1) or apply_plan(*args))
+    applied = _count_applications(monkeypatch)
     d = decide_oracle(instance)
     assert not d.implies
     index = sum(d.counterexample[name] << i for i, name in enumerate(instance.variables))
@@ -485,6 +497,86 @@ def test_multi_block_oracle_matches_the_walk_on_hoisted_programs():
     assert outcomes == {"implied", "earlier block", "last block"}
 
 
+def general_sweep_instances():
+    """Seeded 20-variable instances of the two coNP shapes that make the
+    oracle sweep all 16 blocks: (family, instance) pairs.
+
+    "maj" instances are `reduce_tautdnf_d2` of 9-variable 3-DNFs, whose
+    `maj` kernels take 4 ops; every third DNF is a tautology.  Their tie
+    premise needs x_i or y_i for every i, so a counterexample lies in a
+    block that sets x8 or y8 and x9 or y9, never in block 0.  "anf"
+    instances are over {and, xor, top}: the premise p is the xor of every
+    variable, in index order, and of monomials of degree 2 or 3, some of
+    them and-ed with the 0-ary `top`, and the conclusion p xor q xor pq
+    (p or q) reads the premise's tree and shares monomial objects with it,
+    so `top` sits inside shared subterms.  That conclusion is implied; the
+    conclusion xor the product of x17..x20 can fail only in the last block,
+    and the conclusion xor x_h x_k, for two variables past x16, only in a
+    block between the first and the last."""
+    rng = random.Random("oracle:general-sweep")
+    out = []
+    for k in range(6):
+        terms = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, 10), 3)] for _ in range(rng.choice((14, 20, 28)))]
+        if k % 3 == 0:
+            terms += [[1], [-1, 2], [-1, -2]]
+        out.append(("maj", reduce_tautdnf_d2(DnfInput.build(terms, 9))))
+    base = Base.of(AND2, XOR2, TOP)
+    names = [f"x{i}" for i in range(1, 21)]
+    top = App("top")
+
+    def fold(op, nodes):
+        node = nodes[0]
+        for other in nodes[1:]:
+            node = App(op, (node, other))
+        return node
+
+    for k in range(9):
+        monomials = []
+        for _ in range(rng.randint(8, 24)):
+            monomial = fold("and", [Var(name) for name in sorted(rng.sample(names, rng.choice((2, 3))))])
+            monomials.append(App("and", (monomial, top)) if rng.random() < 0.3 else monomial)
+        p = fold("xor", [Var(name) for name in names] + monomials + [top] * (k % 2))
+        q = fold("xor", rng.sample(monomials, 3))
+        conclusion = App("xor", (App("xor", (p, q)), App("and", (p, q))))
+        if k % 3 == 1:
+            conclusion = App("xor", (conclusion, fold("and", [Var(name) for name in names[16:]])))
+        elif k % 3 == 2:
+            h, j = sorted(rng.sample(names[16:], 2))
+            conclusion = App("xor", (conclusion, App("and", (Var(h), Var(j)))))
+        out.append(("anf", Instance.build(base, [Formula.build(p, base)], Formula.build(conclusion, base))))
+    return out
+
+
+def test_multi_block_oracle_matches_the_walk_on_general_sweep_shapes():
+    outcomes = {"maj": set(), "anf": set()}
+    for family, instance in general_sweep_instances():
+        assert len(instance.variables) == 20
+        d = decide_oracle(instance)
+        implies, detail, sigma = _walk_oracle(instance)
+        assert (d.implies, d.fragment_used, d.detail) == (implies, Fragment.GENERAL, detail)
+        assert d.counterexample == sigma and (sigma is None or list(sigma) == list(instance.variables))
+        if sigma is None:
+            outcomes[family].add("implied")
+        else:
+            block = sum(sigma[name] << i for i, name in enumerate(instance.variables)) >> 16
+            outcomes[family].add("last block" if block == 15 else "earlier block" if block else "block 0")
+    assert outcomes == {"maj": {"implied", "earlier block"}, "anf": {"implied", "earlier block", "last block"}}
+
+
+def test_lane_words_are_built_once(monkeypatch):
+    instance = multi_block_instances()[-1]
+    assert len(instance.variables) == 17
+    built = []
+    make = decide.variable_word
+    monkeypatch.setattr(decide, "variable_word", lambda *args: built.append(args) or make(*args))
+    decide._lane_words.cache_clear()
+    first = decide_oracle(instance)
+    assert built == [(i, 0, 1 << 16) for i in range(16)]
+    built.clear()
+    assert decide_oracle(instance) == first and built == []
+    assert decide._lane_words() == tuple(variable_word(i, 0, 1 << 16) for i in range(16))
+
+
 def test_multi_block_oracle_applies_an_invariant_step_once(monkeypatch):
     # 20 variables, so 16 blocks: a step over the 16 lane variables alone is
     # applied once per sweep, any other once per block that reaches it
@@ -509,9 +601,7 @@ def test_multi_block_oracle_applies_an_invariant_step_once(monkeypatch):
                 expected += blocks
         seen.update(iter_nodes(phi.root))
     assert invariant > 0
-    applied = []
-    apply_plan = formula._apply_plan
-    monkeypatch.setattr(formula, "_apply_plan", lambda *args: applied.append(1) or apply_plan(*args))
+    applied = _count_applications(monkeypatch)
     assert decide_oracle(instance).implies
     assert len(applied) == expected
 

@@ -21,7 +21,6 @@ from postimp.boolfn import (
 )
 from postimp.formula import (
     App,
-    _apply_plan,
     Base,
     Formula,
     FragmentError,
@@ -195,7 +194,7 @@ def test_plan_applied_to_the_rows_gives_the_table():
     for arity, table in _plan_tables():
         rows = 1 << arity
         words = [variable_word(i, 0, rows) for i in range(arity)]
-        assert _apply_plan(connective_plan(arity, table), words, (1 << rows) - 1) == table, (arity, table)
+        assert connective_plan(arity, table)(words, *range(arity), (1 << rows) - 1) == table, (arity, table)
 
 
 class _CountedWord(int):
@@ -225,7 +224,7 @@ def _kernel_ops(arity, table):
     rows = 1 << arity
     words = [_CountedWord(variable_word(i, 0, rows)) for i in range(arity)]
     _CountedWord.ops[0] = 0
-    assert connective_plan(arity, table)(*words, _CountedWord((1 << rows) - 1)) == table
+    assert connective_plan(arity, table)(words, *range(arity), _CountedWord((1 << rows) - 1)) == table
     return _CountedWord.ops[0]
 
 
@@ -253,7 +252,7 @@ def test_wide_random_kernel_is_factored():
     assert 4 * _kernel_ops(arity, table) < flat
 
 
-_KERNEL_SOURCE = re.compile(r"lambda ((?:a[0-9]+, )*)M: ([aM0-9&|^() ]*)")
+_KERNEL_SOURCE = re.compile(r"lambda V, ((?:i[0-9]+, )*)M: ([ViM0-9\[\]&|^() ]*)")
 
 
 @pytest.fixture
@@ -272,7 +271,7 @@ def kernel_sources(monkeypatch):
 
 
 def test_kernel_sources_use_only_arguments_mask_and_operators(kernel_sources):
-    # connectives named after builtins, applied through both appliers
+    # connectives named after builtins, applied by the walk and by a replay
     base = Base.of(
         BooleanFunction("__import__", 3, MAJ3.table),
         BooleanFunction("eval", 2, NAND2.table),
@@ -291,10 +290,10 @@ def test_kernel_sources_use_only_arguments_mask_and_operators(kernel_sources):
         match = _KERNEL_SOURCE.fullmatch(source)
         assert match, source
         params = match.group(1).split(", ")[:-1]
-        assert params == [f"a{i}" for i in range(len(params))], source
-        tokens = re.findall(r"a[0-9]+|M|0|[&|^()]", match.group(2))
+        assert params == [f"i{i}" for i in range(len(params))], source
+        tokens = re.findall(r"V\[i[0-9]+\]|M|0|[&|^()]", match.group(2))
         assert "".join(tokens) == match.group(2).replace(" ", ""), source
-        assert {t for t in tokens if t[0] == "a"} <= set(params), source
+        assert {t[2:-1] for t in tokens if t[0] == "V"} <= set(params), source
 
 
 _LANE_BASES = {
