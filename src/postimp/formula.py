@@ -1,6 +1,8 @@
 """Formulae over a declared connective base: parsing, printing, evaluation.
 
 Formulae are trees of applications of named base connectives to variables.
+`parse_formula` reads text in one pass, one regex scan and one loop that
+builds, checks and indexes the tree, so no second walk follows it.
 Variables are positioned by first occurrence; every coefficient extraction
 accepts an explicit variable order so that premises and a conclusion can
 share one index.  All four extractors (linear, disjunctive, conjunctive and
@@ -24,8 +26,8 @@ reaches its formula, and keeps the invariant words that later blocks read,
 up to `_KEPT_WORDS` of them.
 Compiling costs more than one walk, so only a caller that evaluates the
 same formulae on many blocks (the oracle above 2^16 assignments) compiles.
-All evaluation walks are iterative, so formula depth is bounded only by
-memory.
+The parser and all evaluation walks are iterative, so formula depth is
+bounded only by memory.
 """
 
 import functools
@@ -110,6 +112,8 @@ class App:
 Node = Union[Var, App]
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a name, or one non-space character: punctuation, or one that starts no token
+_TOKEN_RE = re.compile(_NAME_RE.pattern + r"|\S")
 _VAR_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
@@ -135,7 +139,8 @@ class Formula:
 
     @classmethod
     def build(cls, root: Node, base: Base) -> "Formula":
-        """Validate the tree against the base and index variables by first occurrence."""
+        """Validate a tree built in code against the base and index variables
+        by first occurrence; `parse_formula` makes the same checks as it reads."""
         seen = {}
         stack = [root]
         while stack:
@@ -156,101 +161,91 @@ class Formula:
         return cls(root, base, tuple(seen))
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "(),":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        m = _NAME_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        tokens.append((m.group(), i))
-        i = m.end()
-    return tokens
-
-
-def _atom(name: str, pos: int, base: Base) -> Node:
-    if name in base:
-        f = base[name]
-        if f.arity != 0:
-            raise ParseError(f"{name} expects {f.arity} argument(s), got 0", pos)
-        return App(name, ())
-    if not _VAR_RE.fullmatch(name):
-        raise ParseError(f"unknown symbol {name!r}", pos)
-    return Var(name)
-
-
 def parse_formula(text: str, base: Base) -> Formula:
-    """Parse `NAME(arg, ...)` / `NAME` / variable syntax over the given base."""
-    tokens = _tokenize(text)
+    """Parse `NAME(arg, ...)` / `NAME` / variable syntax over the given base.
+
+    One regex scan splits the text into tokens; one loop with a stack of
+    open applications builds the tree, checks each arity when its
+    application closes, makes one `Var` per name and indexes the variables
+    in text order, which is pre-order.  That makes every check of
+    `Formula.build`, so no second walk follows.  Positions are found only
+    for an error; a character that starts no token is reported first.
+    """
+    tokens = _TOKEN_RE.findall(text)
     if not tokens:
         raise ParseError("empty input", 0)
-
-    def expect_name(k):
-        if k >= len(tokens):
-            raise ParseError("unexpected end of input", len(text))
-        tok, pos = tokens[k]
-        if tok in "(),":
-            raise ParseError(f"expected a name, got {tok!r}", pos)
-        return tok, pos
-
-    # frames: (function name, its position, collected arguments)
-    frames = []
+    tokens.append("")  # the end of input, which is no token
+    functions = base._by_name
+    seen = {}  # variable name -> its one Var, in order of first occurrence
+    frames = []  # open applications: (function, its name's token index, enclosing arguments)
+    args = []  # arguments of the innermost open application; at the top, the root
     k = 0
-    node = None
     while True:
-        tok, pos = expect_name(k)
-        k += 1
-        if k < len(tokens) and tokens[k][0] == "(":
-            if tok not in base:
-                raise ParseError(f"unknown connective {tok!r}", pos)
+        # a subformula starts at token k
+        tok = tokens[k]
+        f = functions.get(tok)
+        if f is None:
+            node = seen.get(tok)
+            if node is None or tokens[k + 1] == "(":
+                node = _variable(text, tokens, k, seen)
             k += 1
-            if k < len(tokens) and tokens[k][0] == ")":
-                k += 1
-                node = _reduce_app(tok, pos, [], base)
-            else:
-                frames.append((tok, pos, []))
-                continue
-        else:
-            node = _atom(tok, pos, base)
-        # a complete subformula: fold it into enclosing frames
-        while frames:
-            fname, fpos, args = frames[-1]
-            args.append(node)
-            if k >= len(tokens):
-                raise ParseError("unexpected end of input", len(text))
-            sep, spos = tokens[k]
-            if sep == ",":
-                k += 1
-                node = None
-                break
-            if sep == ")":
-                k += 1
-                frames.pop()
-                node = _reduce_app(fname, fpos, args, base)
-                continue
-            raise ParseError(f"expected ',' or ')', got {sep!r}", spos)
-        if node is None:
+        elif tokens[k + 1] == "(" and tokens[k + 2] != ")":
+            frames.append((f, k, args))
+            args = []
+            k += 2
             continue
-        if not frames:
-            if k != len(tokens):
-                tok, pos = tokens[k]
-                raise ParseError(f"unexpected trailing token {tok!r}", pos)
-            return Formula.build(node, base)
+        else:
+            if f.arity:
+                _fail(text, tokens, k, f"{tok} expects {f.arity} argument(s), got 0")
+            node = App(tok, ())
+            k += 3 if tokens[k + 1] == "(" else 1
+        # a complete subformula: fold it into the open applications
+        while True:
+            args.append(node)
+            tok = tokens[k]
+            if tok == "," and frames:
+                k += 1
+                break
+            if tok == ")" and frames:
+                f, start, outer = frames.pop()
+                if len(args) != f.arity:
+                    _fail(text, tokens, start, f"{f.name} expects {f.arity} argument(s), got {len(args)}")
+                node = App(f.name, tuple(args))
+                args = outer
+                k += 1
+                continue
+            if frames:
+                _fail(text, tokens, k, f"expected ',' or ')', got {tok!r}" if tok else "unexpected end of input")
+            if tok:
+                _fail(text, tokens, k, f"unexpected trailing token {tok!r}")
+            return Formula(node, base, tuple(seen))
 
 
-def _reduce_app(name: str, pos: int, args: list, base: Base) -> App:
-    f = base[name]
-    if len(args) != f.arity:
-        raise ParseError(f"{name} expects {f.arity} argument(s), got {len(args)}", pos)
-    return App(name, tuple(args))
+def _variable(text: str, tokens: list, k: int, seen: dict) -> Var:
+    """The variable named by token k, which names no connective."""
+    tok = tokens[k]
+    if not tok:
+        _fail(text, tokens, k, "unexpected end of input")
+    if tok in "(),":
+        _fail(text, tokens, k, f"expected a name, got {tok!r}")
+    if tokens[k + 1] == "(":
+        _fail(text, tokens, k, f"unknown connective {tok!r}")
+    if not _VAR_RE.fullmatch(tok):
+        _fail(text, tokens, k, f"unknown symbol {tok!r}")
+    return seen.setdefault(tok, Var(tok))
+
+
+def _fail(text: str, tokens: list, k: int, message: str):
+    """Raise `message` at token k, or at the end of the text for the end of
+    input; a character that starts no token, anywhere in the text, is
+    reported instead."""
+    starts = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if tok not in "()," and not _NAME_RE.match(tok):
+            raise ParseError(f"unexpected character {tok!r}", m.start())
+        starts.append(m.start())
+    raise ParseError(message, starts[k] if tokens[k] else len(text))
 
 
 def format_formula(phi) -> str:
@@ -320,8 +315,9 @@ def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=Non
     Walks the tree in post-order on a stack of words and applies each
     connective's `connective_plan` kernel to the top `arity` of them,
     `plan(values, -arity, ..., -1, mask)`; returns the result word.  `width`
-    is the number of live lanes.  Every intermediate word stays within the
-    width's mask, so none is negative.
+    is the number of live lanes.  The words are nonnegative, and one with
+    bits beyond the lanes is cut to them, so every intermediate word stays
+    within the width's mask.
     """
     order = _resolve_order(phi, variables)
     if len(words) < len(order):
@@ -334,7 +330,9 @@ def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=Non
     while stack:
         node = stack.pop()
         if isinstance(node, Var):
-            values.append(env[node.name] & mask)
+            # cut only a word wider than the lanes: `& mask` copies even one that fits
+            word = env[node.name]
+            values.append(word & mask if word > mask else word)
         elif isinstance(node, App):
             # a 1-tuple below the arguments marks the application
             stack.append((node,))

@@ -7,9 +7,10 @@ avoiding the library's bit-sliced and normal-form code paths.
 import itertools
 import math
 import random
+import re
 
 from postimp.boolfn import AndNormalForm, LinearNormalForm, OrNormalForm
-from postimp.formula import App, Var
+from postimp.formula import App, Formula, ParseError, Var
 
 
 def naive_value(node, base, env):
@@ -217,3 +218,106 @@ def composition_closure(base, k):
         old = current
         frontier = np.array(sorted(discovered), dtype=np.uint32)
     return tables
+
+
+_REFERENCE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REFERENCE_VAR = re.compile(r"[a-z][a-z0-9_]*")
+
+
+def reference_parse(text, base):
+    """The formula parser as it stood before the one-pass rewrite: a
+    tokenizer that stops at the first character no token starts with, a
+    frame-stack parser over its tokens, then `Formula.build` to validate
+    the tree and index its variables.  `parse_formula` must give the same
+    `Formula`, or a `ParseError` with the same message and position."""
+
+    def tokenize():
+        tokens = []
+        i, n = 0, len(text)
+        while i < n:
+            ch = text[i]
+            if ch.isspace():
+                i += 1
+                continue
+            if ch in "(),":
+                tokens.append((ch, i))
+                i += 1
+                continue
+            m = _REFERENCE_NAME.match(text, i)
+            if not m:
+                raise ParseError(f"unexpected character {ch!r}", i)
+            tokens.append((m.group(), i))
+            i = m.end()
+        return tokens
+
+    def atom(name, pos):
+        if name in base:
+            f = base[name]
+            if f.arity != 0:
+                raise ParseError(f"{name} expects {f.arity} argument(s), got 0", pos)
+            return App(name, ())
+        if not _REFERENCE_VAR.fullmatch(name):
+            raise ParseError(f"unknown symbol {name!r}", pos)
+        return Var(name)
+
+    def reduce_app(name, pos, args):
+        f = base[name]
+        if len(args) != f.arity:
+            raise ParseError(f"{name} expects {f.arity} argument(s), got {len(args)}", pos)
+        return App(name, tuple(args))
+
+    tokens = tokenize()
+    if not tokens:
+        raise ParseError("empty input", 0)
+
+    def expect_name(k):
+        if k >= len(tokens):
+            raise ParseError("unexpected end of input", len(text))
+        tok, pos = tokens[k]
+        if tok in "(),":
+            raise ParseError(f"expected a name, got {tok!r}", pos)
+        return tok, pos
+
+    # frames: (function name, its position, collected arguments)
+    frames = []
+    k = 0
+    node = None
+    while True:
+        tok, pos = expect_name(k)
+        k += 1
+        if k < len(tokens) and tokens[k][0] == "(":
+            if tok not in base:
+                raise ParseError(f"unknown connective {tok!r}", pos)
+            k += 1
+            if k < len(tokens) and tokens[k][0] == ")":
+                k += 1
+                node = reduce_app(tok, pos, [])
+            else:
+                frames.append((tok, pos, []))
+                continue
+        else:
+            node = atom(tok, pos)
+        # a complete subformula: fold it into enclosing frames
+        while frames:
+            fname, fpos, args = frames[-1]
+            args.append(node)
+            if k >= len(tokens):
+                raise ParseError("unexpected end of input", len(text))
+            sep, spos = tokens[k]
+            if sep == ",":
+                k += 1
+                node = None
+                break
+            if sep == ")":
+                k += 1
+                frames.pop()
+                node = reduce_app(fname, fpos, args)
+                continue
+            raise ParseError(f"expected ',' or ')', got {sep!r}", spos)
+        if node is None:
+            continue
+        if not frames:
+            if k != len(tokens):
+                tok, pos = tokens[k]
+                raise ParseError(f"unexpected trailing token {tok!r}", pos)
+            return Formula.build(node, base)

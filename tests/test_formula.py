@@ -4,7 +4,15 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import form_value, lane_reference, naive_table, naive_value, plan_cost, plan_forms
+from helpers import (
+    form_value,
+    lane_reference,
+    naive_table,
+    naive_value,
+    plan_cost,
+    plan_forms,
+    reference_parse,
+)
 from postimp import formula
 from postimp.boolfn import (
     AND2,
@@ -130,6 +138,113 @@ def _node_strategy():
 def test_parse_print_identity(node):
     phi = Formula.build(node, BASIC)
     assert parse_formula(format_formula(phi), BASIC) == phi
+
+
+def _parse_outcome(parse, text, base):
+    """The formula a parser returns, or the (message, position) it raises."""
+    try:
+        return parse(text, base)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# the whitespace a formula may carry between tokens, Unicode em space included
+_SPACES = st.text(alphabet=" \t\n\u2003", max_size=2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_node_strategy(), st.data())
+def test_parse_matches_reference_on_spaced_text(node, data):
+    # printed with random whitespace around every token, constants as `top` or `top()`
+    out = [data.draw(_SPACES)]
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Var):
+            out.append(item.name)
+        elif not item.args:
+            out.append(item.fn + data.draw(st.sampled_from(["", "()", "(" + data.draw(_SPACES) + ")"])))
+        else:
+            tail = [item.fn, "("]
+            for i, a in enumerate(item.args):
+                tail += [","] * bool(i) + [a]
+            stack.extend(reversed(tail + [")"]))
+        out.append(data.draw(_SPACES))
+    text = "".join(out)
+    phi = parse_formula(text, BASIC)
+    assert phi == reference_parse(text, BASIC)
+    assert phi.root == node
+
+
+_SOUP = ["and", "or", "not", "top", "bot", "x", "y", "x1", "Zed", "_u", "(", ")", ",", "?", "é", "-", "1"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SOUP), st.sampled_from(["", " ", "\u2003"])), max_size=14))
+def test_parse_matches_reference_on_token_soup(pieces):
+    # names, connective names in variable position, punctuation and characters no token starts with
+    text = "".join(tok + space for tok, space in pieces)
+    assert _parse_outcome(parse_formula, text, BASIC) == _parse_outcome(reference_parse, text, BASIC)
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "empty input", 0),
+        (" \u2003\n", "empty input", 0),
+        ("and(x, ", "unexpected end of input", 7),
+        ("not(x  ", "unexpected end of input", 7),
+        ("not(", "unexpected end of input", 4),
+        ("(x)", "expected a name, got '('", 0),
+        ("and(x, )", "expected a name, got ')'", 7),
+        ("and(,x)", "expected a name, got ','", 4),
+        ("nope(x)", "unknown connective 'nope'", 0),
+        ("not(x(y))", "unknown connective 'x'", 4),
+        ("and(x, x(y))", "unknown connective 'x'", 7),
+        ("and(x)", "and expects 2 argument(s), got 1", 0),
+        ("not(x, y, z)", "not expects 1 argument(s), got 3", 0),
+        ("or(x, and)", "and expects 2 argument(s), got 0", 6),
+        ("or(x, and())", "and expects 2 argument(s), got 0", 6),
+        ("top(x)", "top expects 0 argument(s), got 1", 0),
+        ("not(Zed)", "unknown symbol 'Zed'", 4),
+        ("not(x y)", "expected ',' or ')', got 'y'", 6),
+        ("not(top() (x))", "expected ',' or ')', got '('", 10),
+        ("x y", "unexpected trailing token 'y'", 2),
+        ("top() top", "unexpected trailing token 'top'", 6),
+        ("not(x))", "unexpected trailing token ')'", 6),
+        ("x,", "unexpected trailing token ','", 1),
+        ("and(x, ?)", "unexpected character '?'", 7),
+        ("x1é", "unexpected character 'é'", 2),
+        ("not(1x)", "unexpected character '1'", 4),
+        # a character no token starts with wins over an earlier syntax error
+        ("and(x) -", "unexpected character '-'", 7),
+        (") ?", "unexpected character '?'", 2),
+    ],
+)
+def test_parse_error_corpus(text, message, position):
+    expected = (f"{message} (at position {position})", position)
+    assert _parse_outcome(parse_formula, text, BASIC) == expected
+    assert _parse_outcome(reference_parse, text, BASIC) == expected
+
+
+def test_parse_deep_text_without_recursion():
+    depth = 100_000
+    text = "not(" * depth + "x" + ")" * depth
+    phi = parse_formula(text, BASIC)
+    assert phi.variables == ("x",)
+    # dataclass __eq__ recurses, so the tree is checked through its text
+    assert format_formula(phi) == text
+
+
+def test_parse_wide_balanced_text():
+    level = [f"x{i}" for i in range(1, (1 << 15) + 1)]
+    while len(level) > 1:
+        level = [f"xor({a}, {b})" for a, b in zip(level[::2], level[1::2])]
+    phi = parse_formula(level[0], LIN)
+    assert phi.variables == tuple(f"x{i}" for i in range(1, (1 << 15) + 1))
+    assert format_formula(phi) == level[0]
 
 
 def test_evaluate_examples():
@@ -324,6 +439,23 @@ def test_evaluate_block_matches_lane_reference(names):
                 width,
                 format_formula(phi),
             )
+
+
+@pytest.mark.parametrize("width", [1 << 10, 1 << 16])
+def test_evaluate_block_full_width_and_premasked_words_agree(width):
+    # a one-block sweep of 16 variables hands over full 2^16-lane words, which
+    # are cut to the lanes only where they are wider
+    rng = random.Random(f"premasked-{width}")
+    order = tuple(f"v{i}" for i in range(1, 17))
+    full = [variable_word(i, 0, 1 << 16) for i in range(16)]
+    masked = [w & (1 << width) - 1 for w in full]
+    for _ in range(3):
+        phi = Formula.build(_random_formula(rng, BASIC, order, 7), BASIC)
+        word = evaluate_block(phi, full, width, order)
+        assert word == evaluate_block(phi, masked, width, order)
+        assert word >> width == 0
+        if width < 1 << 16:
+            assert word == lane_reference(phi, masked, width, order)
 
 
 
