@@ -60,7 +60,7 @@ from .formula import (
     read_instance,
     write_instance,
 )
-from .gf2 import Gf2System, eliminate, solve
+from .gf2 import Gf2System, solve
 from .reductions import (
     DnfInput,
     parse_dnf,

@@ -133,13 +133,13 @@ def decide_linear(inst: Instance) -> Decision:
     The system asserts each premise equal to 1 plus `conclusion xor t = 1` and
     `t = 1` over the instance variables extended by the fresh unknown t.
     """
-    order = inst.variables
+    order, index = inst.variables, inst.index
     n = len(order)
     rows = []
     for psi in inst.premises:
-        nf = extract_linear_nf(psi, order)
+        nf = extract_linear_nf(psi, index)
         rows.append((nf.mask, 1 ^ nf.c0))
-    goal = extract_linear_nf(inst.conclusion, order)
+    goal = extract_linear_nf(inst.conclusion, index)
     rows.append((goal.mask | 1 << n, 1 ^ goal.c0))
     rows.append((1 << n, 1))
     solution = solve(Gf2System(n + 1, tuple(rows)))
@@ -161,12 +161,12 @@ def decide_linear(inst: Instance) -> Decision:
 def decide_or_fragment(inst: Instance) -> Decision:
     """Disjunctive fragment: implication holds iff the conclusion is constant
     true or some premise's coefficients are dominated by the conclusion's."""
-    order = inst.variables
-    goal = extract_or_nf(inst.conclusion, order)
+    index = inst.index
+    goal = extract_or_nf(inst.conclusion, index)
     if goal.c0:
         return Decision(True, Fragment.OR, "the conclusion is identically true")
     for pos, psi in enumerate(inst.premises, 1):
-        nf = extract_or_nf(psi, order)
+        nf = extract_or_nf(psi, index)
         if not nf.c0 and not nf.mask & ~goal.mask:
             return Decision(
                 True, Fragment.OR, f"premise {pos} is dominated by the conclusion"
@@ -180,14 +180,14 @@ def decide_and_fragment(inst: Instance) -> Decision:
     """Conjunctive fragment: implication holds iff some premise is constant
     false, or the conclusion is satisfiable and every variable it forces is
     forced by some premise."""
-    order = inst.variables
+    index = inst.index
     supplied = 0
     for pos, psi in enumerate(inst.premises, 1):
-        nf = extract_and_nf(psi, order)
+        nf = extract_and_nf(psi, index)
         if nf.c0 == 0:
             return Decision(True, Fragment.AND, f"premise {pos} is identically false")
         supplied |= nf.mask
-    goal = extract_and_nf(inst.conclusion, order)
+    goal = extract_and_nf(inst.conclusion, index)
     if goal.c0 == 0:
         return Decision(
             False,
@@ -215,10 +215,10 @@ def decide_unary_fragment(inst: Instance) -> Decision:
 
     Literals are keyed by (mask, c0): the complement of a literal flips c0,
     and a constant has an empty mask."""
-    order = inst.variables
+    index = inst.index
     literals = {}
     for pos, psi in enumerate(inst.premises, 1):
-        nf = extract_unary_nf(psi, order)
+        nf = extract_unary_nf(psi, index)
         if not nf.mask:
             if not nf.c0:
                 return Decision(
@@ -233,7 +233,7 @@ def decide_unary_fragment(inst: Instance) -> Decision:
                 f"premises {other} and {pos} are complementary literals",
             )
         literals.setdefault((nf.mask, nf.c0), pos)
-    goal = extract_unary_nf(inst.conclusion, order)
+    goal = extract_unary_nf(inst.conclusion, index)
     if not goal.mask:
         if goal.c0:
             return Decision(True, Fragment.UNARY, "the conclusion is identically true")
@@ -256,9 +256,11 @@ def decide_single_linear(premise: Formula, conclusion: Formula) -> Decision:
     coefficients."""
     if conclusion.base != premise.base:
         raise ValueError("all formulae of an instance must share its base")
-    order = tuple(dict.fromkeys((*premise.variables, *conclusion.variables)))
-    left = extract_linear_nf(premise, order)
-    right = extract_linear_nf(conclusion, order)
+    index = {}
+    for v in (*premise.variables, *conclusion.variables):
+        index.setdefault(v, len(index))
+    left = extract_linear_nf(premise, index)
+    right = extract_linear_nf(conclusion, index)
     if left.c0 == 0 and not left.mask:
         return Decision(True, Fragment.LINEAR, "the premise is identically false")
     if right.c0 == 1 and not right.mask:

@@ -4,11 +4,15 @@ Formulae are trees of applications of named base connectives to variables.
 `parse_formula` reads text in one pass, one regex scan and one loop that
 builds, checks and indexes the tree, so no second walk follows it.
 Variables are positioned by first occurrence; every coefficient extraction
-accepts an explicit variable order so that premises and a conclusion can
-share one index.  All four extractors (linear, disjunctive, conjunctive and
-unary) read the n+1 probe points off one bit-sliced `evaluate_block` pass,
-`_flip_scan`, and return the coefficients as an int mask; a unary formula
-gets the linear form with at most one coefficient.  The one evaluation
+accepts an explicit variable order, a sequence of names or a dict from name
+to position (`Instance.index`, built once per instance), so that premises
+and a conclusion can share one index.  All four extractors (linear,
+disjunctive, conjunctive and unary) read their probe points off one
+bit-sliced `evaluate_block` pass, `_flip_scan`, over the formula's own
+variables: |vars(phi)|+1 points, however many variables the order holds.
+The flips are placed at their positions in the order and returned as an
+int mask; a unary formula gets the linear form with at most one
+coefficient.  The one evaluation
 primitive is the connective kernel, `connective_plan`: compiled once per
 truth table from the cheapest factored form of the table (its algebraic
 normal form, minterms, complemented maxterms, and for a monotone or
@@ -34,7 +38,7 @@ import functools
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from . import boolfn
@@ -684,31 +688,55 @@ def _flip_scan(phi: Formula, variables, base_bit: int):
     """Value at the point with every variable at `base_bit`, and the mask of
     single-variable flips that change it, from one bit-sliced evaluation.
 
-    Lane 0 holds the base point and lane i+1 flips variable i, so the call
-    has n+1 lanes.  Returns (c0, flips, n) with bit i of `flips` for the
-    variable at position i of the order.
+    The evaluation runs over phi's own variables: lane 0 holds the base point
+    and lane j+1 flips phi's j-th variable, so it has |vars(phi)|+1 lanes
+    however long the order is.  `variables` is the order, a sequence of names
+    or a dict from name to position (`Instance.index`); the flips are placed
+    at their positions in it and packed into one int.  Returns (c0, flips, n)
+    with bit i of `flips` for the variable at position i of the order.
     """
-    order = _resolve_order(phi, variables)
-    n = len(order)
-    width = n + 1
-    if base_bit:
-        full = (1 << width) - 1
-        words = [full ^ (2 << i) for i in range(n)]
+    own = phi.variables
+    if variables is None:
+        index, n = None, len(own)
+    elif isinstance(variables, dict):
+        index, n = variables, len(variables)
     else:
-        words = [2 << i for i in range(n)]
-    word = evaluate_block(phi, words, width, order)
+        order = tuple(variables)
+        index, n = {name: i for i, name in enumerate(order)}, len(order)
+    if index is not None:
+        try:
+            positions = [index[name] for name in own]
+        except KeyError:
+            missing = sorted(name for name in own if name not in index)
+            raise ValueError(f"variable order is missing {missing!r}") from None
+    k = len(own)
+    if base_bit:
+        full = (2 << k) - 1
+        words = [full ^ (2 << j) for j in range(k)]
+    else:
+        words = [2 << j for j in range(k)]
+    word = evaluate_block(phi, words, k + 1)
     c0 = word & 1
     flips = word >> 1
     if c0:
-        flips ^= (1 << n) - 1
-    return c0, flips, n
+        flips ^= (1 << k) - 1
+    if index is None:
+        return c0, flips, n
+    # one byte array packed at the end: setting bits one by one in a growing
+    # int would copy it per bit
+    packed = bytearray((n + 7) >> 3)
+    for i, bit in zip(positions, f"{flips:b}"[::-1]):
+        if bit == "1":
+            packed[i >> 3] |= 1 << (i & 7)
+    return c0, int.from_bytes(packed, "little"), n
 
 
 def extract_linear_nf(phi: Formula, variables=None) -> LinearNormalForm:
     """Linear coefficients read off at the zero vector and the unit vectors.
 
     Sound only when every connective of the formula is linear, which is
-    checked up front; all n+1 points go through one `evaluate_block` call.
+    checked up front; all |vars(phi)|+1 points go through one `evaluate_block`
+    call.
     """
     _require_fragment(phi, boolfn.is_linear, "linear")
     return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
@@ -738,12 +766,21 @@ def extract_unary_nf(phi: Formula, variables=None) -> LinearNormalForm:
 
 @dataclass(frozen=True, slots=True)
 class Instance:
-    """Premises and a conclusion over one base, with a joint variable index."""
+    """Premises and a conclusion over one base, with a joint variable index.
+
+    `index` maps each name of `variables` to its position, built once per
+    instance, so that an extractor places a formula's coefficients in the
+    joint order without walking the whole order.
+    """
 
     base: Base
     premises: tuple
     conclusion: Formula
     variables: tuple
+    index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", {v: i for i, v in enumerate(self.variables)})
 
     @classmethod
     def build(cls, base: Base, premises, conclusion: Formula) -> "Instance":
@@ -751,11 +788,8 @@ class Instance:
         for phi in (*prem, conclusion):
             if phi.base != base:
                 raise ValueError("all formulae of an instance must share its base")
-        seen = {}
-        for phi in (*prem, conclusion):
-            for v in phi.variables:
-                seen.setdefault(v, len(seen))
-        return cls(base, prem, conclusion, tuple(seen))
+        variables = dict.fromkeys([v for phi in (*prem, conclusion) for v in phi.variables])
+        return cls(base, prem, conclusion, tuple(variables))
 
 
 def read_instance(path, base: Optional[Base] = None) -> Instance:

@@ -1,9 +1,15 @@
 """Bit-packed linear systems over Z2.
 
 Rows are (coefficient mask, right-hand side) pairs; bit i of a mask is the
-coefficient of x_{i+1}.  Elimination is deterministic: pivots are the lowest
-nonzero column taken from the topmost remaining row, and solutions zero all
-free variables.
+coefficient of x_{i+1}.  `solve` inserts the rows one by one into a basis
+keyed by lowest set bit, each row with its right-hand side as bit n: a row
+is reduced by the basis row of its lowest bit until it has a lowest bit no
+basis row holds, and joins the basis, or reduces to zero; a row that
+reduces to 0 = 1 makes the system inconsistent at once.
+The pivots, the lowest bits of this echelon basis, are a property of the
+row space, so the solution is the one that a Gauss-Jordan elimination with
+lowest-column pivots gives: back-substituted from the highest pivot down,
+with every free variable zero.
 """
 
 from dataclasses import dataclass
@@ -25,33 +31,30 @@ class Gf2System:
                 raise ValueError(f"right-hand side must be a bit, got {rhs!r}")
 
 
-def eliminate(system: Gf2System) -> tuple:
-    """Reduced row echelon form over Z2: the rows, pivot rows first, and the
-    1-based pivot columns, ascending."""
-    rest = list(system.rows)
-    pivot_rows = []
-    pivots = []
-    for col in range(system.n):
-        bit = 1 << col
-        hit = next((k for k, (m, _) in enumerate(rest) if m & bit), None)
-        if hit is None:
-            continue
-        mask, rhs = rest.pop(hit)
-        rest = [(m ^ mask, b ^ rhs) if m & bit else (m, b) for m, b in rest]
-        pivot_rows = [(m ^ mask, b ^ rhs) if m & bit else (m, b) for m, b in pivot_rows]
-        pivot_rows.append((mask, rhs))
-        pivots.append(col + 1)
-    return tuple(pivot_rows) + tuple(rest), tuple(pivots)
-
-
 def solve(system: Gf2System) -> Optional[tuple]:
     """One solution with all free variables zero, or None if inconsistent."""
-    rows, pivots = eliminate(system)
-    if any(m == 0 and b for m, b in rows):
-        return None
-    x = [0] * system.n
-    for (_, rhs), col in zip(rows, pivots):
-        x[col - 1] = rhs
+    n = system.n
+    top = 1 << n  # bit n of a row holds its right-hand side
+    basis = {}  # 1 + lowest set bit of a basis row -> that row
+    for mask, rhs in system.rows:
+        row = mask | top if rhs else mask
+        while row:
+            col = (row & -row).bit_length()
+            pivot = basis.get(col)
+            if pivot is None:
+                if col > n:
+                    return None  # the row reduced to 0 = 1
+                basis[col] = row
+                break
+            row ^= pivot
+    # the other bits of a basis row lie above its pivot, so are solved
+    # already; `solved` holds bit n too, so a row's parity over it is its value
+    x = [0] * n
+    solved = top
+    for col in sorted(basis, reverse=True):
+        if (basis[col] & solved).bit_count() & 1:
+            solved |= 1 << (col - 1)
+            x[col - 1] = 1
     return tuple(x)
 
 

@@ -321,3 +321,36 @@ def reference_parse(text, base):
                 tok, pos = tokens[k]
                 raise ParseError(f"unexpected trailing token {tok!r}", pos)
             return Formula.build(node, base)
+
+
+def reference_eliminate(system):
+    """Gauss-Jordan elimination as `gf2` did it before basis insertion: the
+    reduced row echelon form over Z2, pivot rows first, and the 1-based pivot
+    columns, ascending.  Pivots are the lowest nonzero column taken from the
+    topmost remaining row, and every pivot reduces all other rows."""
+    rest = list(system.rows)
+    pivot_rows = []
+    pivots = []
+    for col in range(system.n):
+        bit = 1 << col
+        hit = next((k for k, (m, _) in enumerate(rest) if m & bit), None)
+        if hit is None:
+            continue
+        mask, rhs = rest.pop(hit)
+        rest = [(m ^ mask, b ^ rhs) if m & bit else (m, b) for m, b in rest]
+        pivot_rows = [(m ^ mask, b ^ rhs) if m & bit else (m, b) for m, b in pivot_rows]
+        pivot_rows.append((mask, rhs))
+        pivots.append(col + 1)
+    return tuple(pivot_rows) + tuple(rest), tuple(pivots)
+
+
+def reference_solve(system):
+    """The solution read off `reference_eliminate`, free variables zero, or
+    None if some row reduces to 0 = 1; `gf2.solve` must give the same."""
+    rows, pivots = reference_eliminate(system)
+    if any(m == 0 and b for m, b in rows):
+        return None
+    x = [0] * system.n
+    for (_, rhs), col in zip(rows, pivots):
+        x[col - 1] = rhs
+    return tuple(x)

@@ -248,11 +248,15 @@ def test_criterion_4_single_linear_rule():
                 assert decide_single_linear(premise, goal).implies == naive_implies(instance)[0]
 
 
+def _xor_node(nodes):
+    node = nodes[0]
+    for other in nodes[1:]:
+        node = App("xor", (node, other))
+    return node
+
+
 def _xor_chain(names):
-    node = Var(names[0])
-    for name in names[1:]:
-        node = App("xor", (node, Var(name)))
-    return Formula.build(node, LIN_CONST)
+    return Formula.build(_xor_node([Var(name) for name in names]), LIN_CONST)
 
 
 def test_wide_xor_chain_budget():
@@ -339,6 +343,42 @@ def test_wide_linear_instance_budget():
         with budget(f"classify {{{f.name}, top}}", 0.1):
             verdict = classify_base(base)
         assert verdict.complexity is expected
+
+
+def _short_parity_instances(count):
+    # `count` premises over `count` variables, each the xor of three of them,
+    # all true under a planted assignment; an odd xor of premises is implied,
+    # and the same xor with a fresh variable z is refuted
+    rng = random.Random("short-parities")
+    names = [f"x{i}" for i in range(1, count + 1)]
+    planted = {name: rng.randrange(2) for name in names}
+    premises = []
+    for _ in range(count):
+        node = _xor_node([Var(v) for v in rng.sample(names, 3)])
+        if not naive_value(node, LIN_CONST, planted):
+            node = App("xor", (node, App("top")))
+        premises.append(node)
+    goal = _xor_node(rng.sample(premises, 3))
+    refuted = App("xor", (goal, Var("z")))
+    built = [Formula.build(p, LIN_CONST) for p in premises]
+    return (
+        Instance.build(LIN_CONST, built, Formula.build(goal, LIN_CONST)),
+        Instance.build(LIN_CONST, built, Formula.build(refuted, LIN_CONST)),
+    )
+
+
+def test_many_short_parities_budget():
+    # each formula's extraction costs its own three variables, not the
+    # instance's 2000, and the parity system is solved by basis insertion
+    implied, refuted = _short_parity_instances(2000)
+    with budget("2000 three-variable parity premises, implied and refuted, dispatched", 0.5):
+        yes = dispatch(implied)
+        no = dispatch(refuted)
+    assert yes.fragment_used is Fragment.LINEAR and yes.implies
+    assert no.fragment_used is Fragment.LINEAR and not no.implies
+    env = no.counterexample
+    assert all(naive_value(p.root, LIN_CONST, env) for p in refuted.premises)
+    assert not naive_value(refuted.conclusion.root, LIN_CONST, env)
 
 
 def test_closure_arity_4_budget(capsys, tmp_path):

@@ -17,12 +17,14 @@ from postimp import formula
 from postimp.boolfn import (
     AND2,
     BOT,
+    AndNormalForm,
     BooleanFunction,
     LinearNormalForm,
     MAJ3,
     NAND2,
     NOT,
     OR2,
+    OrNormalForm,
     TOP,
     XOR2,
     XOR3,
@@ -741,6 +743,86 @@ def test_extraction_beyond_one_word(base, extract, kind):
             bare = extract(phi, ())
             assert (bare.c0, bare.mask, bare.n) == (c0, 0, 0)
             assert form_value(bare, []) == evaluate(phi, [], ())
+
+
+def _full_order_scan(phi, order, base_bit):
+    # the flip scan over the whole order, as extraction did it before it ran
+    # over the formula's own variables: one walk on len(order)+1 lanes
+    n = len(order)
+    width = n + 1
+    if base_bit:
+        full = (1 << width) - 1
+        words = [full ^ (2 << i) for i in range(n)]
+    else:
+        words = [2 << i for i in range(n)]
+    word = evaluate_block(phi, words, width, order)
+    c0 = word & 1
+    flips = word >> 1
+    if c0:
+        flips ^= (1 << n) - 1
+    return c0, flips, n
+
+
+_EXTRACTORS = {
+    "linear": (Base.of(XOR2, XOR3, TOP, BOT), extract_linear_nf, LinearNormalForm, 0, "xor(x, y)"),
+    "or": (Base.of(OR2, TOP, BOT), extract_or_nf, OrNormalForm, 0, "or(x, y)"),
+    "and": (Base.of(AND2, TOP, BOT), extract_and_nf, AndNormalForm, 1, "and(x, y)"),
+    "unary": (Base.of(NOT, NFST, TOP, BOT), extract_unary_nf, LinearNormalForm, 0, "nfst(x, y)"),
+}
+_EXTRA_NAMES = ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "w", "x", "y", "z"]
+
+
+def _fragment_node(base):
+    leaves = st.sampled_from([Var(v) for v in "wxyz"] + [App(f.name) for f in base.functions if not f.arity])
+    return st.recursive(
+        leaves,
+        lambda kids: st.one_of(
+            [
+                st.builds(lambda *args, name=f.name: App(name, args), *[kids] * f.arity)
+                for f in base.functions
+                if f.arity
+            ]
+        ),
+        max_leaves=24,
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(_EXTRACTORS))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_extraction_over_own_variables_matches_full_order_scan(kind, data):
+    # the order holds variables absent from the formula, in shuffled order;
+    # given as a sequence, as a dict and as an instance's index, it must give
+    # what the scan over all of its len(order)+1 lanes gives
+    base, extract, form, base_bit, _ = _EXTRACTORS[kind]
+    phi = Formula.build(data.draw(_fragment_node(base)), base)
+    extra = data.draw(st.lists(st.sampled_from(_EXTRA_NAMES), unique=True, max_size=8))
+    order = data.draw(st.permutations(list(dict.fromkeys((*phi.variables, *extra)))))
+    expected = form.from_flips(*_full_order_scan(phi, order, base_bit))
+    assert extract(phi, order) == expected
+    assert extract(phi, {name: i for i, name in enumerate(order)}) == expected
+    # a premise ahead of phi moves phi's variables in the instance's index
+    lead = Formula.build(Var(extra[0]) if extra else App("top"), base)
+    inst = Instance.build(base, [lead], phi)
+    assert extract(phi, inst.index) == form.from_flips(*_full_order_scan(phi, inst.variables, base_bit))
+    assert extract(phi) == form.from_flips(*_full_order_scan(phi, phi.variables, base_bit))
+
+
+@pytest.mark.parametrize("kind", sorted(_EXTRACTORS))
+def test_extraction_errors_fragment_before_missing_variable(kind):
+    base, extract, _, _, text = _EXTRACTORS[kind]
+    phi = parse_formula(text, base)
+    for order in (("x",), ("e1", "x", "e2"), {"x": 0}):
+        with pytest.raises(ValueError, match=re.escape("variable order is missing ['y']")) as caught:
+            extract(phi, order)
+        assert caught.type is ValueError
+    with pytest.raises(ValueError, match=re.escape("variable order is missing ['x', 'y']")):
+        extract(phi, ())
+    # a connective outside the fragment is reported before a missing variable
+    outside = parse_formula("or(x, y)" if kind == "and" else "and(x, y)", BASIC)
+    for order in (("x",), {}, ()):
+        with pytest.raises(FragmentError, match="is not"):
+            extract(outside, order)
 
 
 def test_instance_variable_order():
