@@ -24,7 +24,7 @@ from .reductions import (
     reduce_tautdnf_d2,
     reduce_tautdnf_monotone,
 )
-from .selftest import run_selftest
+from .selftest import MAX_CASES, run_selftest
 
 REDUCTION_KINDS = ("tautdnf-monotone", "tautdnf-d2", "linsys", "mod2-unary", "mod2-single")
 
@@ -184,7 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_selftest = sub.add_parser("selftest", help="random cross-check of fragment deciders vs the oracle")
     p_selftest.add_argument("--seed", type=int, default=0)
-    p_selftest.add_argument("--cases", type=int, default=1000)
+    p_selftest.add_argument(
+        "--cases", type=int, default=1000, help=f"cases per fragment, from 0 to {MAX_CASES} (default 1000)"
+    )
     add_format(p_selftest)
 
     return parser

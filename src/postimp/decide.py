@@ -7,9 +7,11 @@ literal comparison, and single linear premises a three-way coefficient rule.
 The general case enumerates assignments with bit-sliced evaluation, in blocks
 of 2^16 lanes; the same enumerator doubles as the reference oracle for
 everything else.  An oracle sweep of more than one block compiles the
-instance once into a `Program` and replays it per block, applying the steps
-over the 16 lane variables alone in one block only; a one-block sweep walks
-each formula with `evaluate_block`.  The words of the 16 lane variables are
+instance once into a `Program` and replays it per block.  Each variable past
+the 16 lane variables is 0 or all ones in a block, so the program's kernels
+are specialised on those words, and a step is re-applied only when a block
+variable it depends on changes; a one-block sweep walks each formula with
+`evaluate_block`.  The words of the 16 lane variables are
 built once per process and shared by every sweep.
 """
 
@@ -78,11 +80,16 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     into a `Program`.  Its numbering computes a subterm shared by several
     formulae once per block, and it releases each word after its last
     reader.  The first 16 variables are its lane variables, whose words are
-    the same in every block, so a step over them alone is invariant: the
-    first block that reaches a formula applies all its steps, and a later
-    block applies only its variant steps and reads the kept invariant words.
-    Those are bounded by `formula._KEPT_WORDS`; an instance that needs more
-    applies every step in every block it reaches.  A one-block sweep walks
+    the same in every block; each later one is a block variable, 0 or the
+    mask in a block, and the blocks come in counting order, so the first
+    block variable changes in every block and the last in one.  A step that
+    reads a block-constant argument has a kernel specialised on it, and a
+    formula re-applies only the steps over a block variable that changed
+    since the last block that reached it: a step over the lane variables
+    alone runs once per sweep.  The words that persist across blocks are
+    bounded by `formula._KEPT_WORDS`; over it, the program stops tracking
+    the most often changing block variables, and as a last resort applies
+    every step in every block it reaches.  A one-block sweep walks
     each formula with `evaluate_block` instead: there a compile costs more
     than it saves.  The lane variables' words come from `_lane_words`, built
     on the first sweep; a sweep of fewer than 16 variables reads their first

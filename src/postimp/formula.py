@@ -24,10 +24,13 @@ slots.  `Program` compiles several formulae over one variable order, in
 one walk, into one straight-line program of kernel applications: equal
 subterms are numbered by (connective, argument slots) into one step, and
 each word is released after its last reader.
-A step over the lane variables alone, whose words are the same in every
-block, is invariant: a replay applies it only in the first block that
-reaches its formula, and keeps the invariant words that later blocks read,
-up to `_KEPT_WORDS` of them.
+The variables past the lane variables are block variables, whose words are
+0 or the mask in each block.  A step that reads a block-constant argument
+gets a `specialised_plan` kernel, which branches on that word to the
+cheapest form of the restricted table, and a replay re-applies a step only
+when a block variable it depends on has changed since its formula's last
+evaluation; a step over the lane variables alone runs once per sweep.  At
+most `_KEPT_WORDS` words persist across blocks.
 Compiling costs more than one walk, so only a caller that evaluates the
 same formulae on many blocks (the oracle above 2^16 assignments) compiles.
 The parser and all evaluation walks are iterative, so formula depth is
@@ -355,8 +358,10 @@ def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=Non
     return values[0]
 
 
-# Kept words a `Program` may hold across blocks; see the `Program` docstring.
+# Words a `Program` may persist across blocks; see the `Program` docstring.
 _KEPT_WORDS = 64
+# Block-constant arguments a specialised kernel branches on: at most 16 branches.
+_BRANCHED = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,49 +370,71 @@ class Program:
     straight-line program that is replayed block after block.
 
     Slots 0..n-1 hold the variable words, and slot n+k holds the result of
-    step k.  A step is `(slot, plan, argument slots, released slots)`, in
-    post-order; a replay applies it as
-    `values[slot] = plan(values, *argument_slots, mask)`.  Steps are
-    numbered by (connective name, argument slots), so each distinct subterm
-    gets one step, whether its copies are one shared object or were built
-    apart.
+    step k.  A step is `(slot, plan, argument slots, released slots)`; a
+    replay applies it as `values[slot] = plan(values, *argument_slots, mask)`.
+    Steps are numbered by (connective name, argument slots), so each
+    distinct subterm gets one step, whether its copies are one shared object
+    or were built apart.
 
     The first `lanes` variables are the lane variables, whose words are the
-    same in every block.  A step is invariant when each of its arguments is
-    a lane variable or an invariant step, so its word is the same in every
-    block too; any other step is variant.  An invariant word is kept for
-    later blocks when a variant step, a step of a later formula or a
-    formula's root reads it.  `segments` holds one entry per formula, in
-    order: all its steps, its variant steps, the kept words among its steps,
-    its root slot, and the slots released once the root is read.  Kept words
-    are never released; every other slot is released after its last reader,
-    so only words that are still to be read stay alive.
+    same in every block; each later one is a block variable, whose word is 0
+    or the mask in each block.  An argument is block-constant when it is a
+    block variable or a step whose arguments are all block-constant; a step
+    that reads one gets a `specialised_plan` kernel, which branches on those
+    words, so `maj(x, y, c)` costs one op instead of four.  A step's support
+    is the mask of block variables it depends on: bit i for variable
+    `lanes + i`.  A formula evaluated in a block re-applies only the steps
+    whose support meets the block variables whose words changed since that
+    formula's last evaluation, so a step over the lane variables alone is
+    applied once per sweep.  `segments` holds one entry per formula, in
+    order: its steps in groups of one class, as (condition, steps), where a
+    class is a support or the steps that run in every evaluation; its root
+    slot; and the slots released once the root is read.  A group runs
+    when its condition meets the changed bits, and a formula's first
+    evaluation runs every group.
 
-    A compile that would keep more than `_KEPT_WORDS` words marks no step
-    invariant, so every block applies every step it reaches.  A word of
-    2^16 lanes takes 8 KiB, so 64 kept words add at most 512 KiB to a
-    sweep's live words.  The coNP-base instances of 20 variables that the
-    benchmark's general-sweep workload draws (DNF reductions and ANF
-    premises) keep 7 to 32 words, so 64 leaves them twice that.  A
-    22-variable reduction of a 600-term DNF, whose literal pairs are shared
-    across the whole disjunction, would keep 203 and raise its peak memory
-    from 1.6 to 3.1 MB; it replays without hoisting.
+    A step's word persists across blocks when one of its readers may run
+    without it: a step of another support or a formula's root.  A step of a
+    later formula counts too, as a block that stops before that formula
+    leaves the word alive.  Persisting words are never released; every
+    other slot is released after its last reader, so only words that are
+    still to be read stay alive.  At most `_KEPT_WORDS` words persist.  Over
+    that bound, compile stops tracking block variables, the first one
+    first: it changes in every block of the oracle's counting order, the
+    next in every second.  A step whose support holds an untracked variable
+    runs in every evaluation.  With none tracked only the steps over the
+    lane variables wait, each applied once; if even those persist more than
+    the bound, every step runs in every evaluation.  So no replay applies
+    more kernels than one that ran every step over block variables in
+    every block.  A word of 2^16 lanes takes 8 KiB, so persisting words
+    add at most 512 KiB to a sweep's live words.  The benchmark's
+    general-sweep instances of 20 variables persist 21 to 60 words, with
+    all four block variables tracked or all but the first; a 22-variable
+    reduction of a 600-term DNF would persist 203 words with none tracked,
+    and replays every step in every block.
     """
 
     variables: tuple
+    lanes: int
     segments: tuple
 
     @classmethod
     def compile(cls, formulas, variables, lanes: int) -> "Program":
         n = len(variables)
         slot_of = {name: i for i, name in enumerate(variables)}
-        plans = {}  # connective name -> plan
+        plans = {}  # (connective name, mask of block-constant positions) -> plan
         numbering = {}  # (connective name, argument slots) -> slot
         seen = {}  # id(node) -> slot, so a shared subtree object is walked once
+        # per slot: the block variables it depends on, and the bit `always`
+        # if it reads a lane variable; a slot without that bit is block-constant
+        always = 1 << (n - lanes)
+        block = always - 1
+        support = [always] * lanes + [1 << i for i in range(n - lanes)]
         step_plans, step_args = [], []
-        fixed = [i < lanes for i in range(n)]  # per slot: invariant
-        kept = set()  # invariant words a variant step, a later formula or a root reads
         ends = []  # (steps so far, root slot) after each formula
+        # steps a root, a step of a later formula or a step of a wider support
+        # reads: they persist whenever their support is tracked
+        exposed = set()
         for phi in formulas:
             first = n + len(step_args)  # the formula's first step slot
             out = []
@@ -433,79 +460,105 @@ class Program:
                     key = (node.fn, args)
                     slot = numbering.get(key)
                     if slot is None:
-                        plan = plans.get(node.fn)
+                        depends = constants = 0
+                        for p, a in enumerate(args):
+                            s = support[a]
+                            depends |= s
+                            if not s & always:
+                                constants |= 1 << p
+                        plan = plans.get((node.fn, constants))
                         if plan is None:
                             f = phi.base[node.fn]
-                            plan = plans[node.fn] = connective_plan(f.arity, f.table)
+                            if constants:
+                                positions = [p for p in range(arity) if constants >> p & 1]
+                                plan = specialised_plan(f.arity, f.table, tuple(positions[:_BRANCHED]))
+                            else:
+                                plan = connective_plan(f.arity, f.table)
+                            plans[node.fn, constants] = plan
                         slot = numbering[key] = n + len(step_args)
                         step_plans.append(plan)
                         step_args.append(args)
-                        invariant = all(map(fixed.__getitem__, args))
-                        fixed.append(invariant)
+                        support.append(depends)
                         for a in args:
-                            if a >= n and fixed[a] and (a < first or not invariant):
-                                kept.add(a)
+                            if a >= n and (a < first or (support[a] ^ depends) & block):
+                                exposed.add(a)
                     seen[id(node)] = slot
                 out.append(slot)
-            root = out[0]
-            if root >= n and fixed[root]:
-                kept.add(root)
-            ends.append((len(step_args), root))
-        if len(kept) > _KEPT_WORDS:
-            fixed = [False] * len(fixed)
-            kept = set()
-        # walking backwards, the first reader of a slot is its last one
-        read = set(kept)
+            exposed.add(out[0])
+            ends.append((len(step_args), out[0]))
+        # track every block variable, then drop the one that changes most
+        # often, until at most _KEPT_WORDS exposed words wait for a change;
+        # a step of class `always` runs in every evaluation
+        exposed = [a for a in exposed if a >= n]
+        for tracked in [block & -1 << i for i in range(n - lanes + 1)]:
+            if sum(1 for a in exposed if support[a] & block | tracked == tracked) <= _KEPT_WORDS:
+                classes = [s & block if s & block | tracked == tracked else always for s in support]
+                break
+        else:
+            classes = [always] * len(support)
+        # walking backwards, the first reader of a slot is its last one;
+        # variables and persisting words are never released
+        read = set(range(n)).union([a for a in exposed if classes[a] != always])
         segments = []
         for j in reversed(range(len(ends))):
             stop, root = ends[j]
             start = ends[j - 1][0] if j else 0
             release = () if root in read else (root,)
             read.add(root)
-            body = []
-            for k in reversed(range(start, stop)):
-                args = step_args[k]
+            # steps sorted by class keep each argument before its readers: an
+            # argument's support is a subset of its reader's, so no larger;
+            # walked backwards, from the last step of the last class
+            groups = []
+            for k in sorted(range(n + stop - 1, n + start - 1, -1), key=classes.__getitem__, reverse=True):
+                args = step_args[k - n]
                 free = tuple([a for a in args if a not in read])
                 read.update(args)
                 # a step that releases all its arguments shares their tuple
-                body.append((n + k, step_plans[k], args, args if free == args else free))
-            body.reverse()
-            # tuples of lists: a tuple built from a generator is resized,
-            # and CPython's free list for its final size then holds on to it
-            variant = tuple([step for step in body if not fixed[step[0]]])
-            keep = tuple([step[0] for step in body if step[0] in kept])
-            segments.append((tuple(body), variant, keep, root, release))
+                step = (k, step_plans[k - n], args, args if free == args else free)
+                if groups and groups[-1][0] == classes[k]:
+                    groups[-1][1].append(step)
+                else:
+                    groups.append((classes[k], [step]))
+            # a group runs when its class meets the block variables that
+            # changed, and in the formula's first evaluation: the bit above
+            # `always`; tuples of lists, as a tuple built from a generator is
+            # resized, and CPython's free list for its final size holds on to it
+            groups = tuple([(c | always << 1, tuple(group[::-1])) for c, group in reversed(groups)])
+            segments.append((groups, root, release))
         segments.reverse()
-        return cls(tuple(variables), tuple(segments))
+        return cls(tuple(variables), lanes, tuple(segments))
 
     def replay(self, blocks, width: int):
         """For each block of variable words, yield a generator of each
         formula's word, in order, as `evaluate_block` returns it.
 
-        Lane k of each word holds assignment k, as in `evaluate_block`, and
-        the lane variables' words must be the same in every block.  The
-        first block that reaches a formula applies all its steps and keeps
-        its kept words; a later block applies only its variant steps.  Read
-        a block's words in order and leave it before drawing the next one:
-        a caller that stops early skips the steps of the formulae after it.
+        Lane k of each word holds assignment k, as in `evaluate_block`.  The
+        lane variables' words must be the same in every block, and each
+        block variable's word must be 0 or the mask: any other word raises
+        `ValueError`.  One list of values lives for the whole sweep, and a
+        formula re-applies only the step groups whose support meets the
+        block variables that changed since its last evaluation.  Read a
+        block's words in order and leave it before drawing the next one: a
+        caller that stops early skips the steps of the formulae after it.
         """
-        n = len(self.variables)
+        n, lanes = len(self.variables), self.lanes
         mask = (1 << width) - 1
-        kept = [None] * (n + sum(len(body) for body, *_ in self.segments))
-        reached = 0  # formulae whose steps an earlier block applied
+        always = 1 << (n - lanes)
+        values = [None] * (n + sum(len(steps) for groups, *_ in self.segments for _, steps in groups))
+        # per formula, the block variables set at its last evaluation; the
+        # bit above `always` makes every group of a first evaluation run
+        last = [always << 1] * len(self.segments)
 
-        def formulas(values):
-            nonlocal reached
-            for j, (body, variant, keep, root, release) in enumerate(self.segments):
-                first = j == reached
-                for slot, plan, args, free in body if first else variant:
-                    values[slot] = plan(values, *args, mask)
-                    for a in free:
-                        values[a] = None
-                if first:
-                    reached += 1
-                    for slot in keep:
-                        kept[slot] = values[slot]
+        def formulas(bits):
+            for j, (groups, root, release) in enumerate(self.segments):
+                changed = (bits ^ last[j]) | always
+                last[j] = bits
+                for condition, steps in groups:
+                    if condition & changed:
+                        for slot, plan, args, free in steps:
+                            values[slot] = plan(values, *args, mask)
+                            for a in free:
+                                values[a] = None
                 word = values[root]
                 for a in release:
                     values[a] = None
@@ -514,9 +567,14 @@ class Program:
         for words in blocks:
             if len(words) < n:
                 raise ValueError(f"{len(words)} words supplied for {n} variables")
-            values = kept[:]
+            bits = 0
+            for i in range(lanes, n):
+                if words[i] == mask:
+                    bits |= 1 << (i - lanes)
+                elif words[i]:
+                    raise ValueError(f"block variable {self.variables[i]!r} holds a word other than 0 and the mask")
             values[:n] = [w & mask if w >> width else w for w in words[:n]]
-            yield formulas(values)
+            yield formulas(bits)
 
 
 @functools.lru_cache(maxsize=256)
@@ -536,8 +594,54 @@ def connective_plan(arity: int, table: int):
     ever negative.
     """
     _cost, body = _factored_form(arity, table)
+    return _compile_kernel(arity, body)
+
+
+# apart from `connective_plan`'s cache, so specialisations never evict plain kernels
+@functools.lru_cache(maxsize=256)
+def specialised_plan(arity: int, table: int, constants: tuple):
+    """The connective's kernel for a step whose arguments at the positions
+    `constants` are block-constant, each word 0 or the mask M in every
+    block; the calling convention is `connective_plan`'s.
+
+    The kernel branches on the truth of those words, `(...) if V[ip] else
+    (...)`, and each branch is the cheapest form of the table restricted to
+    that pattern: `0` or `M`, the other argument's own word object, or
+    `_factored_form` of the rest.  So `maj` with one constant argument
+    costs one `&` or `|`, and a step whose arguments are all block-constant
+    costs none.  As in `connective_plan`, no name or text from a base file
+    reaches `compile`.
+    """
+    free = [i for i in range(arity) if i not in constants]
+
+    def branch(table, arity, constants):
+        if not constants:
+            cost, text = _factored_form(arity, table)
+            return cost, re.sub(r"i([0-9]+)", lambda m: f"i{free[int(m[1])]}", text)
+        # the highest position first, so the lower ones keep their indices
+        p = constants[-1]
+        one = branch(_cofactor(table, arity, p, 1), arity - 1, constants[:-1])
+        zero = branch(_cofactor(table, arity, p, 0), arity - 1, constants[:-1])
+        # a nonzero cost makes `_operand` parenthesise the conditional
+        return 1, f"{_operand(one)} if V[i{p}] else {_operand(zero)}"
+
+    _cost, body = branch(table, arity, sorted(constants))
+    return _compile_kernel(arity, body)
+
+
+def _compile_kernel(arity: int, body: str):
     params = ", ".join(["V", *(f"i{i}" for i in range(arity)), "M"])
     return eval(compile(f"lambda {params}: {body}", "<connective kernel>", "eval"), {"__builtins__": {}})
+
+
+def _cofactor(table: int, arity: int, position: int, value: int) -> int:
+    """The table with the argument at `position` fixed to `value`, over the
+    other arguments in order: the runs of 2^position rows where that
+    argument is `value`."""
+    run = 1 << position
+    rows = f"{table:0{1 << arity}b}"[::-1]  # row 0 first
+    kept = "".join([rows[start : start + run] for start in range(value * run, 1 << arity, 2 * run)])
+    return int(kept[::-1], 2)
 
 
 class _OverBudget(Exception):

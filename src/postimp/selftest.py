@@ -7,6 +7,9 @@ from .boolfn import AND2, BOT, MAJ3, NOT, OR2, TOP, XOR2, XOR3
 from .decide import Mode, decide_oracle, dispatch
 from .formula import App, Base, Formula, Instance, Var, format_formula
 
+# cases per fragment; 1 000 take about 3 s, so the cap is about 5 minutes
+MAX_CASES = 100_000
+
 FRAGMENT_BASES = {
     "linear": [Base.of(XOR3), Base.of(XOR2, TOP, BOT), Base.of(NOT, XOR2)],
     "or": [Base.of(OR2), Base.of(OR2, TOP, BOT)],
@@ -47,9 +50,12 @@ def random_instance(
 
 def run_selftest(seed: int = 0, cases: int = 1000) -> dict:
     """Per fragment: dispatch-selected decider versus the oracle on seeded
-    random in-fragment instances.  Disagreement counts must be zero."""
+    random in-fragment instances.  Disagreement counts must be zero.  A count
+    below 0 or above `MAX_CASES` is refused before any instance is drawn."""
     if cases < 0:
         raise ValueError(f"the case count must be nonnegative, got {cases}")
+    if cases > MAX_CASES:
+        raise ValueError(f"the case count must be at most {MAX_CASES} per fragment, got {cases}")
     fragments = {}
     total = 0
     for fragment in sorted(FRAGMENT_BASES):

@@ -1,12 +1,15 @@
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
 import postimp
 from postimp.cli import main
+from postimp.reductions import DnfInput
 
 
 def run(capsys, *argv):
@@ -237,6 +240,74 @@ def test_selftest_rejects_a_negative_case_count(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: the case count must be nonnegative, got -5\n"
+
+
+def test_selftest_refuses_a_case_count_over_the_cap(capsys):
+    # refused before any instance is drawn, so at once
+    started = time.perf_counter()
+    code, out, err = run(capsys, "selftest", "--cases", "100001", "--format", "record")
+    assert time.perf_counter() - started < 0.1
+    assert code == 1
+    assert out == ""
+    assert err == "error: the case count must be at most 100000 per fragment, got 100001\n"
+
+
+def _multi_block_dnf(rng, num_vars, tautology):
+    """A 3-DNF over exactly `num_vars` variables, a tautology or not, as text."""
+    while True:
+        terms = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, num_vars + 1), 3)] for _ in range(24)]
+        if tautology:
+            terms += [[1], [-1, 2], [-1, -2]]
+        terms.append([num_vars])
+        if DnfInput.build(terms, num_vars).is_tautology() == tautology:
+            return "".join(" ".join(f"x{v}" if v > 0 else f"-x{-v}" for v in term) + "\n" for term in terms)
+
+
+# stdout of `postimp decide` on reductions of 20 variables, so the oracle
+# sweeps 16 blocks of 2^16 lanes, in record and in human form
+MULTI_BLOCK_OUTPUT = {
+    ("tautdnf-d2", True): (
+        '{"fragment_used": "general", "implies": true}\n',
+        "implies: yes [fragment general] -- all 1048576 assignments checked\n",
+    ),
+    ("tautdnf-d2", False): (
+        '{"counterexample": {"f": 0, "t": 1, "x1": 0, "x2": 0, "x3": 0, "x4": 1, "x5": 0, "x6": 1, "x7": 1,'
+        ' "x8": 1, "x9": 0, "y1": 1, "y2": 1, "y3": 1, "y4": 0, "y5": 1, "y6": 0, "y7": 0, "y8": 0, "y9": 1},'
+        ' "fragment_used": "general", "implies": false}\n',
+        "implies: no [fragment general] -- assignment 612758 satisfies every premise and falsifies the"
+        " conclusion; counterexample: x1=0 y1=1 t=1 x2=0 y2=1 f=0 x3=0 y3=1 x4=1 y4=0 x5=0 y5=1 x6=1 y6=0"
+        " x7=1 y7=0 x8=1 y8=0 x9=0 y9=1\n",
+    ),
+    ("tautdnf-monotone", True): (
+        '{"fragment_used": "general", "implies": true}\n',
+        "implies: yes [fragment general] -- all 1048576 assignments checked\n",
+    ),
+    ("tautdnf-monotone", False): (
+        '{"counterexample": {"x1": 0, "x10": 0, "x2": 1, "x3": 0, "x4": 1, "x5": 0, "x6": 1, "x7": 1,'
+        ' "x8": 0, "x9": 1, "y1": 1, "y10": 1, "y2": 0, "y3": 1, "y4": 0, "y5": 1, "y6": 0, "y7": 0,'
+        ' "y8": 1, "y9": 0}, "fragment_used": "general", "implies": false}\n',
+        "implies: no [fragment general] -- assignment 628326 satisfies every premise and falsifies the"
+        " conclusion; counterexample: x1=0 y1=1 x2=1 y2=0 x3=0 y3=1 x4=1 y4=0 x5=0 y5=1 x6=1 y6=0 x7=1"
+        " y7=0 x8=0 y8=1 x9=1 y9=0 x10=0 y10=1\n",
+    ),
+}
+
+
+def test_reduce_and_decide_across_oracle_blocks(capsys, tmp_path):
+    # one implied and one refuted instance of each coNP reduction, written by
+    # `reduce` and decided from the files
+    rng = random.Random("cli:multi-block")
+    for kind, num_vars in (("tautdnf-d2", 9), ("tautdnf-monotone", 10)):
+        for tautology in (True, False):
+            dnf = tmp_path / "phi.dnf"
+            dnf.write_text(_multi_block_dnf(rng, num_vars, tautology))
+            inst, base = tmp_path / f"{kind}-{tautology}.txt", tmp_path / f"{kind}.base"
+            code, out, _ = run(
+                capsys, "reduce", kind, str(dnf), "--out-instance", str(inst), "--out-base", str(base), "--format", "record"
+            )
+            assert code == 0 and json.loads(out)["variables"] == 20
+            for fmt, expected in zip(("record", "human"), MULTI_BLOCK_OUTPUT[kind, tautology]):
+                assert run(capsys, "decide", "--instance", str(inst), "--format", fmt) == (0, expected, "")
 
 
 def test_decide_rejects_a_negative_cap(capsys, tmp_path, base_file):

@@ -377,16 +377,24 @@ def test_multi_block_oracle_decisions():
 
 def _count_applications(monkeypatch):
     """A list that grows by one entry per kernel application, through
-    `formula.connective_plan` rebound to hand out counting kernels."""
+    `formula.connective_plan` and `formula.specialised_plan` rebound to hand
+    out counting kernels."""
     applied = []
-    plan = formula.connective_plan
 
-    def counting_plan(arity, table):
-        kernel = plan(arity, table)
-        return lambda *args: applied.append(1) or kernel(*args)
+    def counting(make):
+        def counting_plan(*key):
+            kernel = make(*key)
+            return lambda *args: applied.append(1) or kernel(*args)
 
-    monkeypatch.setattr(formula, "connective_plan", counting_plan)
+        return counting_plan
+
+    monkeypatch.setattr(formula, "connective_plan", counting(formula.connective_plan))
+    monkeypatch.setattr(formula, "specialised_plan", counting(formula.specialised_plan))
     return applied
+
+
+def _distinct_applications(phi):
+    return {node for node in iter_nodes(phi.root) if isinstance(node, App)}
 
 
 def test_multi_block_oracle_skips_a_block_its_premises_rule_out(monkeypatch):
@@ -399,13 +407,14 @@ def test_multi_block_oracle_skips_a_block_its_premises_rule_out(monkeypatch):
     assert not d.implies
     index = sum(d.counterexample[name] << i for i, name in enumerate(instance.variables))
     assert index >> 16 == 1
-    # block 0 applies every step of the first premise and stops at the second;
-    # block 1 applies the first premise's variant steps and every step of the
-    # third premise and the conclusion, which no block reached before
-    program = Program.compile((*instance.premises, instance.conclusion), instance.variables, 16)
-    (first, first_variant, *_), (second, *_), (third, *_), (conclusion, conclusion_variant, *_) = program.segments
-    assert second == () and third and conclusion_variant
-    assert len(applied) == len(first) + len(first_variant) + len(third) + len(conclusion)
+    # block 0 applies every step of the first premise, which is over the lane
+    # variables alone, and stops at the second, the variable x17; block 1
+    # applies no step of the first premise, and every step of the third
+    # premise and the conclusion, which no block reached before
+    first, second, third = instance.premises
+    assert isinstance(second.root, Var) and "x17" not in first.variables
+    expected = _distinct_applications(first) | _distinct_applications(third) | _distinct_applications(instance.conclusion)
+    assert len(applied) == len(expected)
 
 
 def _lane_blocks(n):
@@ -482,9 +491,10 @@ def test_multi_block_oracle_matches_the_walk_on_hoisted_programs():
         assert 17 <= n <= 20 and set(instance.variables[:16]) == {f"x{i}" for i in range(1, 17)}
         words = _lane_blocks(n)[0]
         assert evaluate_block(instance.premises[1], words, 1 << 16, instance.variables) == 0
+        # the first premise's steps form one group, run in a first evaluation only
         program = Program.compile((*instance.premises, instance.conclusion), instance.variables, 16)
-        (lane_only, lane_only_variant, *_), *_ = program.segments
-        assert lane_only and lane_only_variant == ()
+        ((lane_only, _),), *_ = program.segments[0]
+        assert lane_only == 1 << (n - 16 + 1)
         d = decide_oracle(instance)
         implies, detail, sigma = _walk_oracle(instance)
         assert (d.implies, d.fragment_used, d.detail) == (implies, Fragment.GENERAL, detail)
@@ -578,8 +588,10 @@ def test_lane_words_are_built_once(monkeypatch):
 
 
 def test_multi_block_oracle_applies_an_invariant_step_once(monkeypatch):
-    # 20 variables, so 16 blocks: a step over the 16 lane variables alone is
-    # applied once per sweep, any other once per block that reaches it
+    # 20 variables, so 16 blocks in counting order: a step is applied in a
+    # formula's first evaluation and again only when a block variable it
+    # depends on has changed since that formula's last evaluation, so a step
+    # over the 16 lane variables alone is applied once per sweep
     rng = random.Random("oracle:hoisting-count")
     terms = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, 11), 3)] for _ in range(20)]
     instance = reduce_tautdnf_monotone(DnfInput.build(terms + [[1], [-1, 2], [-1, -2]], 10))
@@ -589,30 +601,38 @@ def test_multi_block_oracle_applies_an_invariant_step_once(monkeypatch):
     premise, conclusion = instance.premises[0], instance.conclusion
     # the tie premise vanishes on a block that sets both x9 and y9, or both
     # x10 and y10, to 0, so 9 of the 16 blocks reach the conclusion
-    reached = sum(1 for words in _lane_blocks(20) if evaluate_block(premise, words, 1 << 16, order))
-    assert reached == 9
-    expected, invariant, seen = 0, 0, set()
-    for phi, blocks in ((premise, 16), (conclusion, reached)):
-        for node in {node for node in iter_nodes(phi.root) if isinstance(node, App)} - seen:
-            if all(leaf.name in lanes for leaf in iter_nodes(node) if isinstance(leaf, Var)):
-                expected += 1
-                invariant += 1
-            else:
-                expected += blocks
+    reached = [block for block, words in enumerate(_lane_blocks(20)) if evaluate_block(premise, words, 1 << 16, order)]
+    assert len(reached) == 9
+    # the old rule applied every step not over the lane variables alone in
+    # every block that reached it
+    expected, old_rule, invariant, seen = 0, 0, 0, set()
+    for phi, blocks in ((premise, range(16)), (conclusion, reached)):
+        for node in _distinct_applications(phi) - seen:
+            leaves = {leaf.name for leaf in iter_nodes(node) if isinstance(leaf, Var)} - lanes
+            support = sorted(order.index(name) - 16 for name in leaves)
+            patterns = [[block >> i & 1 for i in support] for block in blocks]
+            expected += 1 + sum(1 for a, b in zip(patterns, patterns[1:]) if a != b)
+            old_rule += len(blocks) if support else 1
+            invariant += not support
         seen.update(iter_nodes(phi.root))
-    assert invariant > 0
+    assert invariant > 0 and expected < old_rule
     applied = _count_applications(monkeypatch)
     assert decide_oracle(instance).implies
     assert len(applied) == expected
 
 
-def test_multi_block_oracle_memory():
-    # 22 variables and about 1840 connectives: 64 blocks, over a program whose
-    # words are released after their last reader
+def _memory_instance():
+    # 22 variables and about 1840 connectives: 64 blocks
     rng = random.Random("oracle:memory")
     terms = [[rng.choice((1, -1)) * v for v in rng.sample(range(1, 11), 3)] for _ in range(600)]
     instance = reduce_tautdnf_d2(DnfInput.build(terms, 10))
     assert len(instance.variables) == 22
+    return instance
+
+
+def test_multi_block_oracle_memory():
+    # a program whose words are released after their last reader
+    instance = _memory_instance()
     tracemalloc.start()
     try:
         d = decide_oracle(instance)
@@ -621,3 +641,35 @@ def test_multi_block_oracle_memory():
         tracemalloc.stop()
     assert d.implies
     assert peak < 2_000_000
+
+
+# kernel applications per `decide_oracle` call before the program tracked
+# block variables, when a step not over the lane variables alone ran in
+# every block that reached it
+APPLICATIONS_BEFORE = {
+    "memory": [77120],
+    "multi-block": [14, 35, 34, 33, 283, 695, 72, 476, 60, 89, 84, 57, 116, 107, 150, 104, 35],
+    "hoisting": [26, 41, 38, 23, 25, 45, 26, 66, 42, 41, 30, 114],
+    "general-sweep": [590, 600, 341, 590, 230, 196, 653, 698, 526, 622, 576, 526, 411, 821, 557],
+}
+
+
+def test_oracle_applies_no_more_kernels_than_before(monkeypatch):
+    applied = _count_applications(monkeypatch)
+    instances = {
+        "memory": [_memory_instance()],
+        "multi-block": multi_block_instances(),
+        "hoisting": hoisting_instances(),
+        "general-sweep": [instance for _, instance in general_sweep_instances()],
+    }
+    counts = {}
+    for name, group in instances.items():
+        counts[name] = []
+        for instance in group:
+            applied.clear()
+            decide_oracle(instance)
+            counts[name].append(len(applied))
+    for name, before in APPLICATIONS_BEFORE.items():
+        assert len(counts[name]) == len(before)
+        assert all(now <= then for now, then in zip(counts[name], before)), (name, counts[name])
+    assert sum(counts["general-sweep"]) < sum(APPLICATIONS_BEFORE["general-sweep"])

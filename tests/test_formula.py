@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -50,6 +51,7 @@ from postimp.formula import (
     parse_formula,
     read_instance,
     connective_plan,
+    specialised_plan,
     variable_word,
     write_instance,
 )
@@ -369,12 +371,13 @@ def test_wide_random_kernel_is_factored():
     assert 4 * _kernel_ops(arity, table) < flat
 
 
-_KERNEL_SOURCE = re.compile(r"lambda V, ((?:i[0-9]+, )*)M: ([ViM0-9\[\]&|^() ]*)")
+_KERNEL_SOURCE = re.compile(r"lambda V, ((?:i[0-9]+, )*)M: ([ViMfels0-9\[\]&|^() ]*)")
 
 
 @pytest.fixture
 def kernel_sources(monkeypatch):
-    """Every source `connective_plan` hands to `compile` during the test."""
+    """Every source `connective_plan` and `specialised_plan` hand to
+    `compile` during the test."""
     sources = []
 
     def recording_compile(source, *rest):
@@ -383,12 +386,26 @@ def kernel_sources(monkeypatch):
 
     monkeypatch.setattr(formula, "compile", recording_compile, raising=False)
     connective_plan.cache_clear()
+    specialised_plan.cache_clear()
     yield sources
     connective_plan.cache_clear()
+    specialised_plan.cache_clear()
+
+
+def _check_kernel_source(source):
+    match = _KERNEL_SOURCE.fullmatch(source)
+    assert match, source
+    params = match.group(1).split(", ")[:-1]
+    assert params == [f"i{i}" for i in range(len(params))], source
+    tokens = re.findall(r"V\[i[0-9]+\]|M|0|if|else|[&|^()]", match.group(2))
+    assert "".join(tokens) == match.group(2).replace(" ", ""), source
+    assert {t[2:-1] for t in tokens if t[0] == "V"} <= set(params), source
 
 
 def test_kernel_sources_use_only_arguments_mask_and_operators(kernel_sources):
-    # connectives named after builtins, applied by the walk and by a replay
+    # connectives named after builtins, applied by the walk and by a replay;
+    # the replay reads the 0-ary exec, which is block-constant, so
+    # eval(x, exec) gets a specialised kernel
     base = Base.of(
         BooleanFunction("__import__", 3, MAJ3.table),
         BooleanFunction("eval", 2, NAND2.table),
@@ -397,20 +414,76 @@ def test_kernel_sources_use_only_arguments_mask_and_operators(kernel_sources):
     phi = parse_formula("__import__(eval(x, exec), y, eval(y, z))", base)
     words = [0b01010101, 0b00110011, 0b00001111]
     assert evaluate_block(phi, words, 8) == lane_reference(phi, words, 8, phi.variables)
-    assert _replay(Program.compile((phi,), phi.variables, 0), words, 8) == [evaluate_block(phi, words, 8)]
-    assert len(kernel_sources) == 3
+    assert _replay(Program.compile((phi,), phi.variables, 3), words, 8) == [evaluate_block(phi, words, 8)]
+    assert len(kernel_sources) == 4 and " if V[i1] else " in kernel_sources[3]
     tables = set(_plan_tables())
     for arity, table in tables:
         connective_plan(arity, table)
-    assert len(kernel_sources) == len(tables)
+    assert len(kernel_sources) == len(tables) + 1
     for source in kernel_sources:
-        match = _KERNEL_SOURCE.fullmatch(source)
-        assert match, source
-        params = match.group(1).split(", ")[:-1]
-        assert params == [f"i{i}" for i in range(len(params))], source
-        tokens = re.findall(r"V\[i[0-9]+\]|M|0|[&|^()]", match.group(2))
-        assert "".join(tokens) == match.group(2).replace(" ", ""), source
-        assert {t[2:-1] for t in tokens if t[0] == "V"} <= set(params), source
+        _check_kernel_source(source)
+
+
+def _constant_patterns(arity):
+    """Every nonempty set of positions of `arity` arguments, as a sorted tuple."""
+    for size in range(1, arity + 1):
+        yield from itertools.combinations(range(arity), size)
+
+
+def test_specialised_kernels_match_the_plain_kernel(kernel_sources):
+    # every table of arity 0-3, every set of constant positions and every
+    # 0/mask pattern on them, on random words of width 1, 64 and 2^16
+    rng = random.Random("specialised-kernels")
+    words = {width: [rng.getrandbits(width) for _ in range(3)] for width in (1, 64, 1 << 16)}
+    for arity in range(4):
+        for table in range(1 << (1 << arity)):
+            plain = connective_plan(arity, table)
+            for constants in _constant_patterns(arity):
+                kernel = specialised_plan(arity, table, constants)
+                free = [i for i in range(arity) if i not in constants]
+                rows = 1 << len(free)
+                columns = [variable_word(j, 0, rows) for j in range(len(free))]
+                for pattern in range(1 << len(constants)):
+                    ones = {p for k, p in enumerate(constants) if pattern >> k & 1}
+                    # the restricted table, read off the plain kernel over the free arguments
+                    probe = [None] * arity
+                    for j, i in enumerate(free):
+                        probe[i] = columns[j]
+                    for p in constants:
+                        probe[p] = (1 << rows) - 1 if p in ones else 0
+                    restricted = plain(probe, *range(arity), (1 << rows) - 1)
+                    for width, random_words in words.items():
+                        mask = (1 << width) - 1
+                        args = [mask if i in ones else 0 if i in constants else random_words[i] for i in range(arity)]
+                        word = kernel(args, *range(arity), mask)
+                        assert word == plain(args, *range(arity), mask), (arity, table, constants, pattern, width)
+                        if restricted == 0:
+                            assert word == 0
+                        elif restricted == (1 << rows) - 1:
+                            assert word == mask
+                        elif restricted in columns:
+                            # a projection returns the argument's own word object
+                            assert word is args[free[columns.index(restricted)]]
+    for source in kernel_sources:
+        _check_kernel_source(source)
+
+
+def test_wide_specialised_kernels_match_the_table():
+    # 8 random 16-ary tables, each with 1 to 3 constant positions, checked
+    # lane by lane against the table
+    rng = random.Random("wide-specialised")
+    for _ in range(8):
+        table = rng.getrandbits(1 << 16)
+        constants = tuple(sorted(rng.sample(range(16), rng.randint(1, 3))))
+        kernel = specialised_plan(16, table, constants)
+        for width in (1, 64):
+            mask = (1 << width) - 1
+            for _ in range(4):
+                args = [rng.choice((0, mask)) if i in constants else rng.getrandbits(width) for i in range(16)]
+                word = kernel(args, *range(16), mask)
+                for k in range(width):
+                    row = sum((a >> k & 1) << i for i, a in enumerate(args))
+                    assert word >> k & 1 == table >> row & 1, (constants, width, k)
 
 
 _LANE_BASES = {
@@ -491,12 +564,13 @@ def _replay(program, words, width):
 
 @pytest.mark.parametrize("names", sorted(_LANE_BASES))
 def test_program_matches_walk_and_lane_reference(names):
-    # words carry bits beyond the width, which no result may show
+    # words carry bits beyond the width, which no result may show; every
+    # variable is a lane variable, so its word may be any word
     base = _LANE_BASES[names]
     rng = random.Random(f"program-{names}")
     order = tuple(f"v{i}" for i in range(1, 7))
     formulas = _shared_formulas(rng, base, order, 4)
-    program = Program.compile(formulas, order, 0)
+    program = Program.compile(formulas, order, len(order))
     for width in (1, 64, 65, 1 << 16):
         words = [rng.getrandbits(width + 3) for _ in order]
         replayed = _replay(program, words, width)
@@ -512,7 +586,50 @@ def test_program_matches_walk_and_lane_reference(names):
 
 
 def _steps(program):
-    return sum(len(body) for body, *_ in program.segments)
+    return sum(len(steps) for groups, *_ in program.segments for _, steps in groups)
+
+
+def _persisting(program):
+    """The step slots that no step and no root ever releases."""
+    slots, released = set(), set()
+    for groups, _root, release in program.segments:
+        released.update(release)
+        for _, steps in groups:
+            for slot, _plan, _args, free in steps:
+                slots.add(slot)
+                released.update(free)
+    return slots - released
+
+
+def _tier(program):
+    """Which steps wait for a change, read off the groups: "every step" runs
+    in every evaluation; "lane steps once" leaves only the steps over the
+    lane variables waiting; "some tracked" has some steps over block
+    variables wait and others run every time; "all tracked" has every step
+    wait.  A group's condition holds the bit `always` when it runs
+    in every evaluation, and else is its steps' support with the bit above
+    `always`, which a first evaluation sets."""
+    n = len(program.variables)
+    always = 1 << (n - program.lanes)
+    support = [0] * program.lanes + [1 << i for i in range(n - program.lanes)]
+    support += [0] * sum(len(steps) for groups, *_ in program.segments for _, steps in groups)
+    waiting, running = set(), set()
+    for groups, *_ in program.segments:
+        for condition, steps in groups:
+            for slot, _plan, args, _free in steps:
+                for a in args:
+                    support[slot] |= support[a]
+                if condition & always:
+                    assert condition == always | always << 1
+                    running.add(support[slot])
+                else:
+                    assert condition == support[slot] | always << 1
+                    waiting.add(support[slot])
+    if not waiting:
+        return "every step"
+    if not running - {0}:
+        return "all tracked" if waiting - {0} else "no step over block variables"
+    return "some tracked" if waiting - {0} else "lane steps once"
 
 
 def test_program_numbers_each_distinct_subterm_once():
@@ -535,50 +652,115 @@ def test_program_numbers_each_distinct_subterm_once():
     assert _steps(Program.compile(twice, inst.variables, 0)) == _steps(Program.compile(twice[:1], inst.variables, 0))
 
 
-def test_program_releases_each_slot_after_its_last_reader():
+def test_program_releases_each_slot_after_its_last_reader(monkeypatch):
     phi = parse_formula("and(or(x, y), not(or(x, y)))", BASIC)
     psi = parse_formula("or(x, y)", BASIC)
-    program = Program.compile((phi, psi, phi), ("x", "y"), 0)
-    (body1, _, _, root1, release1), (body2, _, _, root2, release2), (body3, _, _, root3, release3) = program.segments
-    # or(x, y) is slot 2 and is read by the second formula's root last
+    formulas = (phi, psi, phi)
+    # or(x, y) is slot 2, not(or(x, y)) slot 3 and the and slot 4; the roots
+    # 2 and 4 persist for later blocks, and slot 3 is released by its reader
+    program = Program.compile(formulas, ("x", "y"), 2)
+    (groups1, root1, release1), (groups2, root2, release2), (groups3, root3, release3) = program.segments
+    ((_, body1),) = groups1
     assert [args for _slot, _plan, args, _free in body1] == [(0, 1), (2,), (2, 3)]
-    assert [free for _slot, _plan, _args, free in body1] == [(0, 1), (), (3,)]
-    assert body2 == body3 == () and (root1, root2, root3) == (4, 2, 4)
-    assert (release1, release2, release3) == ((), (2,), (4,))
+    assert [free for _slot, _plan, _args, free in body1] == [(), (), (3,)]
+    assert groups2 == groups3 == () and (root1, root2, root3) == (4, 2, 4)
+    assert (release1, release2, release3) == ((), (), ())
+    assert _persisting(program) == {2, 4}
     assert _replay(program, [0b0101, 0b0011], 4) == [0, 0b0111, 0]
+    # with no word allowed to persist, every step runs in every evaluation
+    # and each root is released after its last reader, the second formula
+    # for slot 2
+    monkeypatch.setattr(formula, "_KEPT_WORDS", 0)
+    program = Program.compile(formulas, ("x", "y"), 2)
+    (groups1, _, release1), (_, _, release2), (_, _, release3) = program.segments
+    ((_, body1),) = groups1
+    assert [free for _slot, _plan, _args, free in body1] == [(), (), (3,)]
+    assert (release1, release2, release3) == ((), (2,), (4,))
+    assert _tier(program) == "every step" and _persisting(program) == set()
+    assert _replay(program, [0b0101, 0b0011], 4) == [0, 0b0111, 0]
+
+
+def test_program_persists_a_word_a_later_formula_reads():
+    # y is a block variable: or(x, y) is read by its own formula's root and
+    # by the second formula, which a block that stops after the first leaves
+    # unread, so its word persists like both roots
+    phi = parse_formula("not(or(x, y))", BASIC)
+    psi = parse_formula("and(or(x, y), x)", BASIC)
+    program = Program.compile((phi, psi), ("x", "y"), 1)
+    assert _tier(program) == "all tracked"
+    assert _persisting(program) == {2, 3, 4}
+    blocks = [[0b0101, 0], [0b0101, 0b1111], [0b0101, 0b1111], [0b0101, 0]]
+    for words, count, results in zip(blocks, (2, 1, 2, 2), program.replay(blocks, 4)):
+        for f, word in zip((phi, psi)[:count], results):
+            assert word == evaluate_block(f, words, 4, ("x", "y"))
 
 
 @pytest.mark.parametrize("names", sorted(_LANE_BASES))
 def test_program_replays_blocks_on_kept_invariant_words(names):
-    # v1..v4 are the lane variables; each block draws v5 and v6 afresh and
-    # reads a seeded prefix of the formulae, so some are first reached late;
-    # the first formulae are over the lane variables alone
+    # v1..v4 are the lane variables; each block draws v5 and v6 afresh from
+    # 0 and the mask and reads a seeded prefix of the formulae, so some are
+    # first reached late; the first formulae are over the lane variables alone
     base = _LANE_BASES[names]
     rng = random.Random(f"program-blocks-{names}")
     order = tuple(f"v{i}" for i in range(1, 7))
     formulas = _shared_formulas(rng, base, order[:4], 2) + _shared_formulas(rng, base, order, 4)
     program = Program.compile(formulas, order, 4)
-    hoisted = [len(body) - len(variant) for body, variant, *_ in program.segments]
-    assert sum(hoisted) and sum(len(keep) for _, _, keep, *_ in program.segments)
+    # a group over the lane variables alone runs only in a first evaluation
+    first_only = 1 << 3
+    assert any(condition == first_only for groups, *_ in program.segments for condition, _ in groups)
+    assert _persisting(program)
     for width in (64, 1 << 16):
+        mask = (1 << width) - 1
         lanes = [rng.getrandbits(width + 3) for _ in range(4)]
-        blocks = [lanes + [rng.getrandbits(width + 3) for _ in range(2)] for _ in range(6)]
+        blocks = [lanes + [rng.choice((0, mask)) for _ in range(2)] for _ in range(6)]
         reads = [rng.randrange(len(formulas) + 1) for _ in blocks]
         for words, count, results in zip(blocks, reads, program.replay(blocks, width)):
             for phi, word in zip(formulas[:count], results):
                 assert word == evaluate_block(phi, words, width, order), (width, format_formula(phi))
 
 
+def test_program_replays_incrementally_on_every_tier(monkeypatch):
+    # seeded programs over 17 to 20 variables, v1..v16 the lane variables;
+    # every block pattern comes twice, in a shuffled order, and each block
+    # reads a random prefix of the formulae; a bound of 0, 4, 16 and 64
+    # persisting words reaches every fallback tier
+    width = 64
+    mask = (1 << width) - 1
+    tiers = set()
+    for kept in (0, 4, 16, 64):
+        monkeypatch.setattr(formula, "_KEPT_WORDS", kept)
+        for names in sorted(_LANE_BASES):
+            base = _LANE_BASES[names]
+            rng = random.Random(f"program-incremental-{names}")
+            order = tuple(f"v{i}" for i in range(1, rng.randint(17, 20) + 1))
+            formulas = _shared_formulas(rng, base, order[:16], 2) + _shared_formulas(rng, base, order[12:], 4)
+            program = Program.compile(formulas, order, 16)
+            assert len(_persisting(program)) <= kept
+            tiers.add(_tier(program))
+            lanes = [rng.getrandbits(width) for _ in range(16)]
+            patterns = [p for p in range(1 << (len(order) - 16)) for _ in range(2)]
+            rng.shuffle(patterns)
+            blocks = [lanes + [mask if p >> i & 1 else 0 for i in range(len(order) - 16)] for p in patterns]
+            for words, results in zip(blocks, program.replay(blocks, width)):
+                for phi, word in zip(formulas[: rng.randrange(len(formulas) + 1)], results):
+                    assert word == evaluate_block(phi, words, width, order), (kept, names, format_formula(phi))
+    assert {"every step", "lane steps once", "some tracked", "all tracked"} <= tiers
+
+
 def test_program_keeps_no_invariant_word_beyond_the_bound():
     names = [f"v{i}" for i in range(1, 17)]
     pairs = [(a, b) for a in names for b in names if a < b]
     for count in (formula._KEPT_WORDS, formula._KEPT_WORDS + 1):
-        # each formula is one invariant step, its own kept root
+        # each formula is one invariant step, its own persisting root
         formulas = [parse_formula(f"and({a}, {b})", BASIC) for a, b in pairs[:count]]
         program = Program.compile(formulas, names, 16)
-        kept = sum(len(keep) for _, _, keep, *_ in program.segments)
-        variant = sum(len(variant) for _, variant, *_ in program.segments)
-        assert (kept, variant) == ((count, 0) if count <= formula._KEPT_WORDS else (0, count))
+        # no block variable: bit 0 marks a group run in every evaluation, bit 1
+        # one run in a first evaluation
+        conditions = [condition for groups, *_ in program.segments for condition, _ in groups]
+        if count <= formula._KEPT_WORDS:
+            assert conditions == [0b10] * count and len(_persisting(program)) == count
+        else:
+            assert conditions == [0b11] * count and _persisting(program) == set()
         words = [variable_word(i, 0, 1 << 16) for i in range(16)]
         for results in program.replay([words, words], 1 << 16):
             assert list(results) == [evaluate_block(phi, words, 1 << 16, names) for phi in formulas]
@@ -591,6 +773,12 @@ def test_program_errors():
     program = Program.compile((phi,), ("x", "y"), 0)
     with pytest.raises(ValueError, match="1 words supplied for 2 variables"):
         _replay(program, [1], 1)
+    # a block variable holds 0 or the mask; any other word is refused
+    program = Program.compile((phi,), ("x", "y"), 1)
+    blocks = program.replay([[0b0101, 0b1111], [0b0101, 0b0011]], 4)
+    assert list(next(blocks)) == [0b0101]
+    with pytest.raises(ValueError, match="block variable 'y' holds a word other than 0 and the mask"):
+        next(blocks)
 
 
 def _full_table(phi):
