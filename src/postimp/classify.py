@@ -199,7 +199,7 @@ def closure_fixed_arity(base: Base, k: int) -> frozenset:
 def generators_in_closure(base: Base, generators) -> set:
     """Which of the given functions the base can compose."""
     gens = tuple(generators)
-    _check_closure_arity(max(1, max(g.arity for g in gens)))
+    _check_closure_arity(max(1, max((g.arity for g in gens), default=1)))
     base_props = _base_properties(base)
     return {g for g in gens if all(p >= q for p, q in zip(_properties(g), base_props))}
 

@@ -7,12 +7,10 @@ literal comparison, and single linear premises a three-way coefficient rule.
 The general case enumerates assignments with bit-sliced evaluation, in blocks
 of 2^16 lanes; the same enumerator doubles as the reference oracle for
 everything else.  An oracle sweep of more than one block compiles the
-instance once into a `Program` and replays it per block.  Each variable past
-the 16 lane variables is 0 or all ones in a block, so the program's kernels
-are specialised on those words, and a step is re-applied only when a block
-variable it depends on changes; a one-block sweep walks each formula with
-`evaluate_block`.  The words of the 16 lane variables are
-built once per process and shared by every sweep.
+instance once into a `Program` and replays it over the block numbers (the
+`Program` docstring states what a block variable changes); a one-block
+sweep walks each formula with `evaluate_block`.  The words of the 16 lane
+variables are built once per process and shared by every sweep.
 """
 
 import enum
@@ -77,23 +75,13 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     significant bit of the assignment index).  Premises are evaluated one by
     one, and a block stops at the first premise that leaves no lane.  With
     more than one block, the premises and the conclusion are compiled once
-    into a `Program`.  Its numbering computes a subterm shared by several
-    formulae once per block, and it releases each word after its last
-    reader.  The first 16 variables are its lane variables, whose words are
-    the same in every block; each later one is a block variable, 0 or the
-    mask in a block, and the blocks come in counting order, so the first
-    block variable changes in every block and the last in one.  A step that
-    reads a block-constant argument has a kernel specialised on it, and a
-    formula re-applies only the steps over a block variable that changed
-    since the last block that reached it: a step over the lane variables
-    alone runs once per sweep.  The words that persist across blocks are
-    bounded by `formula._KEPT_WORDS`; over it, the program stops tracking
-    the most often changing block variables, and as a last resort applies
-    every step in every block it reaches.  A one-block sweep walks
-    each formula with `evaluate_block` instead: there a compile costs more
-    than it saves.  The lane variables' words come from `_lane_words`, built
-    on the first sweep; a sweep of fewer than 16 variables reads their first
-    2^n lanes.
+    into a `Program` whose lane variables are the first 16, and it is
+    replayed on the block numbers in counting order; the `Program`
+    docstring states which steps a block re-applies and which words
+    persist.  A one-block sweep walks each formula with `evaluate_block`
+    instead: there a compile costs more than it saves.  The lane variables'
+    words come from `_lane_words`, built on the first sweep; a sweep of
+    fewer than 16 variables reads their first 2^n lanes.
     """
     n = len(inst.variables)
     if n > max_vars:
@@ -103,15 +91,11 @@ def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decis
     mask = (1 << width) - 1
     formulas = (*inst.premises, inst.conclusion)
     # below 2^16 lanes evaluate_block masks the full lane words to the width
-    low_words = list(_lane_words()[:wbits])
-    blocks = (
-        low_words + [mask if block >> i & 1 else 0 for i in range(n - wbits)]
-        for block in range(1 << (n - wbits))
-    )
+    lane_words = _lane_words()[:wbits]
     if n > wbits:
-        sweep = Program.compile(formulas, inst.variables, wbits).replay(blocks, width)
+        sweep = Program.compile(formulas, inst.variables, wbits).replay(lane_words, range(1 << (n - wbits)), width)
     else:
-        sweep = ((evaluate_block(phi, words, width, inst.variables) for phi in formulas) for words in blocks)
+        sweep = [(evaluate_block(phi, lane_words, width, inst.variables) for phi in formulas)]
     for block, results in enumerate(sweep):
         sat = mask
         for _ in inst.premises:

@@ -13,8 +13,9 @@ variables: |vars(phi)|+1 points, however many variables the order holds.
 The flips are placed at their positions in the order and returned as an
 int mask; a unary formula gets the linear form with at most one
 coefficient.  The one evaluation
-primitive is the connective kernel, `connective_plan`: compiled once per
-truth table from the cheapest factored form of the table (its algebraic
+primitive is the connective kernel, `connective_plan(arity, table,
+constants)`: compiled once per truth table and set of block-constant
+positions from the cheapest factored form of the table (its algebraic
 normal form, minterms, complemented maxterms, and for a monotone or
 antitone table its minimal true points), so `and`, `or` and `xor` cost one
 big-int operation per application and `maj` four.  A kernel reads its
@@ -23,14 +24,9 @@ already hold: `evaluate_block` its value stack, and a `Program` replay its
 slots.  `Program` compiles several formulae over one variable order, in
 one walk, into one straight-line program of kernel applications: equal
 subterms are numbered by (connective, argument slots) into one step, and
-each word is released after its last reader.
-The variables past the lane variables are block variables, whose words are
-0 or the mask in each block.  A step that reads a block-constant argument
-gets a `specialised_plan` kernel, which branches on that word to the
-cheapest form of the restricted table, and a replay re-applies a step only
-when a block variable it depends on has changed since its formula's last
-evaluation; a step over the lane variables alone runs once per sweep.  At
-most `_KEPT_WORDS` words persist across blocks.
+each word is released after its last reader.  Its replay takes the lane
+variables' words once and then block numbers; the `Program` docstring
+states how block variables specialise kernels and skip steps.
 Compiling costs more than one walk, so only a caller that evaluates the
 same formulae on many blocks (the oracle above 2^16 assignments) compiles.
 The parser and all evaluation walks are iterative, so formula depth is
@@ -349,7 +345,7 @@ def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=Non
             entry = plans.get(node.fn)
             if entry is None:
                 f = phi.base[node.fn]
-                entry = plans[node.fn] = (f.arity, connective_plan(f.arity, f.table), tuple(range(-f.arity, 0)))
+                entry = plans[node.fn] = (f.arity, connective_plan(f.arity, f.table, ()), tuple(range(-f.arity, 0)))
             arity, plan, top = entry
             word = plan(values, *top, mask)
             if arity:
@@ -377,21 +373,23 @@ class Program:
     or were built apart.
 
     The first `lanes` variables are the lane variables, whose words are the
-    same in every block; each later one is a block variable, whose word is 0
-    or the mask in each block.  An argument is block-constant when it is a
-    block variable or a step whose arguments are all block-constant; a step
-    that reads one gets a `specialised_plan` kernel, which branches on those
-    words, so `maj(x, y, c)` costs one op instead of four.  A step's support
-    is the mask of block variables it depends on: bit i for variable
-    `lanes + i`.  A formula evaluated in a block re-applies only the steps
-    whose support meets the block variables whose words changed since that
-    formula's last evaluation, so a step over the lane variables alone is
-    applied once per sweep.  `segments` holds one entry per formula, in
-    order: its steps in groups of one class, as (condition, steps), where a
-    class is a support or the steps that run in every evaluation; its root
-    slot; and the slots released once the root is read.  A group runs
-    when its condition meets the changed bits, and a formula's first
-    evaluation runs every group.
+    same in every block; each later one is a block variable.  A block is
+    given by its number: block variable `lanes + i` holds the mask in a
+    block whose number has bit i set, and 0 otherwise.  An argument is
+    block-constant when it is a block variable or a step whose arguments
+    are all block-constant; a step that reads one gets the `connective_plan`
+    kernel specialised on the first `_BRANCHED` such positions, which
+    branches on those words, so `maj(x, y, c)` costs one op instead of
+    four.  A step's support is the mask of block variables it depends on:
+    bit i for variable `lanes + i`.  A formula evaluated in a block
+    re-applies only the steps whose support meets the block variables whose
+    words changed since that formula's last evaluation, so a step over the
+    lane variables alone is applied once per sweep.  `segments` holds one
+    entry per formula, in order: its steps in groups of one class, as
+    (condition, steps), where a class is a support or the steps that run in
+    every evaluation; its root slot; and the slots released once the root
+    is read.  A group runs when its condition meets the changed bits, and a
+    formula's first evaluation runs every group.
 
     A step's word persists across blocks when one of its readers may run
     without it: a step of another support or a formula's root.  A step of a
@@ -400,11 +398,11 @@ class Program:
     other slot is released after its last reader, so only words that are
     still to be read stay alive.  At most `_KEPT_WORDS` words persist.  Over
     that bound, compile stops tracking block variables, the first one
-    first: it changes in every block of the oracle's counting order, the
-    next in every second.  A step whose support holds an untracked variable
-    runs in every evaluation.  With none tracked only the steps over the
-    lane variables wait, each applied once; if even those persist more than
-    the bound, every step runs in every evaluation.  So no replay applies
+    first: in counting order, as the oracle replays, it changes in every
+    block, and the next in every second.  A step whose support holds an
+    untracked variable runs in every evaluation.  With none tracked only
+    the steps over the lane variables wait, each applied once; if even those
+    persist more than the bound, every step runs in every evaluation.  So no replay applies
     more kernels than one that ran every step over block variables in
     every block.  A word of 2^16 lanes takes 8 KiB, so persisting words
     add at most 512 KiB to a sweep's live words.  The benchmark's
@@ -469,11 +467,8 @@ class Program:
                         plan = plans.get((node.fn, constants))
                         if plan is None:
                             f = phi.base[node.fn]
-                            if constants:
-                                positions = [p for p in range(arity) if constants >> p & 1]
-                                plan = specialised_plan(f.arity, f.table, tuple(positions[:_BRANCHED]))
-                            else:
-                                plan = connective_plan(f.arity, f.table)
+                            positions = [p for p in range(arity) if constants >> p & 1]
+                            plan = connective_plan(f.arity, f.table, tuple(positions[:_BRANCHED]))
                             plans[node.fn, constants] = plan
                         slot = numbering[key] = n + len(step_args)
                         step_plans.append(plan)
@@ -528,23 +523,27 @@ class Program:
         segments.reverse()
         return cls(tuple(variables), lanes, tuple(segments))
 
-    def replay(self, blocks, width: int):
-        """For each block of variable words, yield a generator of each
+    def replay(self, lane_words, blocks, width: int):
+        """For each block number in `blocks`, yield a generator of each
         formula's word, in order, as `evaluate_block` returns it.
 
-        Lane k of each word holds assignment k, as in `evaluate_block`.  The
-        lane variables' words must be the same in every block, and each
-        block variable's word must be 0 or the mask: any other word raises
-        `ValueError`.  One list of values lives for the whole sweep, and a
-        formula re-applies only the step groups whose support meets the
-        block variables that changed since its last evaluation.  Read a
-        block's words in order and leave it before drawing the next one: a
-        caller that stops early skips the steps of the formulae after it.
+        Lane k of each word holds assignment k, as in `evaluate_block`.
+        `lane_words` are the lane variables' words, cut to the width and
+        stored once per sweep; block variable `lanes + i` gets the mask in
+        a block whose number has bit i set, and 0 otherwise.  One list of
+        values lives for the whole sweep, and a formula re-applies only the
+        step groups whose support meets the block variables that changed
+        since its last evaluation.  Read a block's words in order and leave
+        it before drawing the next one: a caller that stops early skips the
+        steps of the formulae after it.
         """
         n, lanes = len(self.variables), self.lanes
+        if len(lane_words) < lanes:
+            raise ValueError(f"{len(lane_words)} words supplied for {lanes} lane variables")
         mask = (1 << width) - 1
         always = 1 << (n - lanes)
         values = [None] * (n + sum(len(steps) for groups, *_ in self.segments for _, steps in groups))
+        values[:lanes] = [w & mask if w >> width else w for w in lane_words[:lanes]]
         # per formula, the block variables set at its last evaluation; the
         # bit above `always` makes every group of a first evaluation run
         last = [always << 1] * len(self.segments)
@@ -564,21 +563,13 @@ class Program:
                     values[a] = None
                 yield word
 
-        for words in blocks:
-            if len(words) < n:
-                raise ValueError(f"{len(words)} words supplied for {n} variables")
-            bits = 0
-            for i in range(lanes, n):
-                if words[i] == mask:
-                    bits |= 1 << (i - lanes)
-                elif words[i]:
-                    raise ValueError(f"block variable {self.variables[i]!r} holds a word other than 0 and the mask")
-            values[:n] = [w & mask if w >> width else w for w in words[:n]]
+        for bits in blocks:
+            values[lanes:n] = [mask if bits >> i & 1 else 0 for i in range(n - lanes)]
             yield formulas(bits)
 
 
-@functools.lru_cache(maxsize=256)
-def connective_plan(arity: int, table: int):
+@functools.lru_cache(maxsize=512)
+def connective_plan(arity: int, table: int, constants: tuple):
     """The connective compiled into a bit-sliced kernel,
     `plan(words, *argument_indices, mask) -> word`, which reads its
     arguments from the list `words` at the given indices.
@@ -586,50 +577,34 @@ def connective_plan(arity: int, table: int):
     `Program.replay` passes its slot list and a step's argument slots, and
     `evaluate_block` its value stack and the negative indices of the top
     `arity` entries, so neither builds an argument list per application.
-    The kernel is the cheapest factored form of the table (see
-    `_factored_form`), compiled once into `lambda V, i0, ..., M: ...` whose
-    body holds only the argument words V[i0]..V[i{arity-1}], the mask M, the
-    literal 0, `&`, `|`, `^` and parentheses: no name or text from a base
-    file reaches `compile`.  A negated argument is `V[i] ^ M`, so no word is
-    ever negative.
+    `constants` is the sorted tuple of the positions whose words are 0 or
+    the mask M in every block, `()` for a plain kernel; every caller passes
+    it, so each (arity, table, constants) compiles once.  The kernel
+    branches on the truth of those words, `(...) if V[ip] else (...)`, and
+    each branch is the cheapest factored form (see `_factored_form`) of the
+    table restricted to that pattern: `0` or `M`, the other argument's own
+    word object, or a form over the rest.  So `maj` with one constant
+    argument costs one `&` or `|`, and a step whose arguments are all
+    constant costs none.  The kernel is compiled once into
+    `lambda V, i0, ..., M: ...` whose body holds only the argument words
+    V[i0]..V[i{arity-1}], the mask M, the literal 0, `&`, `|`, `^`,
+    parentheses, `if` and `else`: no name or text from a base file reaches
+    `compile`.  A negated argument is `V[i] ^ M`, so no word is ever
+    negative.
     """
-    _cost, body = _factored_form(arity, table)
-    return _compile_kernel(arity, body)
 
-
-# apart from `connective_plan`'s cache, so specialisations never evict plain kernels
-@functools.lru_cache(maxsize=256)
-def specialised_plan(arity: int, table: int, constants: tuple):
-    """The connective's kernel for a step whose arguments at the positions
-    `constants` are block-constant, each word 0 or the mask M in every
-    block; the calling convention is `connective_plan`'s.
-
-    The kernel branches on the truth of those words, `(...) if V[ip] else
-    (...)`, and each branch is the cheapest form of the table restricted to
-    that pattern: `0` or `M`, the other argument's own word object, or
-    `_factored_form` of the rest.  So `maj` with one constant argument
-    costs one `&` or `|`, and a step whose arguments are all block-constant
-    costs none.  As in `connective_plan`, no name or text from a base file
-    reaches `compile`.
-    """
-    free = [i for i in range(arity) if i not in constants]
-
-    def branch(table, arity, constants):
+    def branch(table, names, constants):
         if not constants:
-            cost, text = _factored_form(arity, table)
-            return cost, re.sub(r"i([0-9]+)", lambda m: f"i{free[int(m[1])]}", text)
+            return _factored_form(table, names)
         # the highest position first, so the lower ones keep their indices
         p = constants[-1]
-        one = branch(_cofactor(table, arity, p, 1), arity - 1, constants[:-1])
-        zero = branch(_cofactor(table, arity, p, 0), arity - 1, constants[:-1])
+        rest = names[:p] + names[p + 1 :]
+        one = branch(_cofactor(table, len(names), p, 1), rest, constants[:-1])
+        zero = branch(_cofactor(table, len(names), p, 0), rest, constants[:-1])
         # a nonzero cost makes `_operand` parenthesise the conditional
         return 1, f"{_operand(one)} if V[i{p}] else {_operand(zero)}"
 
-    _cost, body = branch(table, arity, sorted(constants))
-    return _compile_kernel(arity, body)
-
-
-def _compile_kernel(arity: int, body: str):
+    _cost, body = branch(table, list(range(arity)), constants)
     params = ", ".join(["V", *(f"i{i}" for i in range(arity)), "M"])
     return eval(compile(f"lambda {params}: {body}", "<connective kernel>", "eval"), {"__builtins__": {}})
 
@@ -648,8 +623,9 @@ class _OverBudget(Exception):
     """A candidate form grew as costly as the cheapest one found so far."""
 
 
-def _factored_form(arity: int, table: int) -> tuple:
-    """The cheapest factored form of a table, as (big-int ops, expression).
+def _factored_form(table: int, names) -> tuple:
+    """The cheapest factored form of a table over the arguments `names`, as
+    (big-int ops, expression), where argument j is printed `V[i{names[j]}]`.
 
     The candidates are the algebraic normal form (monomials joined by XOR),
     the minterms, and the complemented maxterms (the minterms of the
@@ -667,6 +643,7 @@ def _factored_form(arity: int, table: int) -> tuple:
     The variable pulled out is first swapped into the top index bit, so
     each cofactor is half the width of its parent.
     """
+    arity = len(names)
     rows = 1 << arity
     cols = [variable_word(i, 0, rows) for i in range(arity)]
     lows = [(1 << (1 << w)) - 1 for w in range(arity + 1)]  # all rows of w variables
@@ -748,7 +725,6 @@ def _factored_form(arity: int, table: int) -> tuple:
             least &= ~((members & ~col) << (1 << i))
         return least
 
-    names = list(range(arity))
     anf = table
     for i, col in enumerate(cols):
         anf ^= anf << (1 << i) & col  # Moebius transform over variable i

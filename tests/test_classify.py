@@ -177,6 +177,8 @@ def test_generators_in_closure_full_report():
     assert found == {OR_AND3, AND_OR3, MAJ3}
     found = generators_in_closure(Base.of(OR2, BOT, TOP), [OR_AND3, AND_OR3, MAJ3])
     assert found == set()
+    # no generators asked for: none found, and no arity to check
+    assert generators_in_closure(Base.of(NAND2), []) == set()
 
 
 def test_membership_matches_composition():

@@ -377,19 +377,16 @@ def test_multi_block_oracle_decisions():
 
 def _count_applications(monkeypatch):
     """A list that grows by one entry per kernel application, through
-    `formula.connective_plan` and `formula.specialised_plan` rebound to hand
-    out counting kernels."""
+    `formula.connective_plan` rebound to hand out counting kernels."""
     applied = []
 
-    def counting(make):
-        def counting_plan(*key):
-            kernel = make(*key)
-            return lambda *args: applied.append(1) or kernel(*args)
+    make = formula.connective_plan
 
-        return counting_plan
+    def counting_plan(*key):
+        kernel = make(*key)
+        return lambda *args: applied.append(1) or kernel(*args)
 
-    monkeypatch.setattr(formula, "connective_plan", counting(formula.connective_plan))
-    monkeypatch.setattr(formula, "specialised_plan", counting(formula.specialised_plan))
+    monkeypatch.setattr(formula, "connective_plan", counting_plan)
     return applied
 
 

@@ -51,7 +51,6 @@ from postimp.formula import (
     parse_formula,
     read_instance,
     connective_plan,
-    specialised_plan,
     variable_word,
     write_instance,
 )
@@ -313,7 +312,7 @@ def test_plan_applied_to_the_rows_gives_the_table():
     for arity, table in _plan_tables():
         rows = 1 << arity
         words = [variable_word(i, 0, rows) for i in range(arity)]
-        assert connective_plan(arity, table)(words, *range(arity), (1 << rows) - 1) == table, (arity, table)
+        assert connective_plan(arity, table, ())(words, *range(arity), (1 << rows) - 1) == table, (arity, table)
 
 
 class _CountedWord(int):
@@ -343,7 +342,7 @@ def _kernel_ops(arity, table):
     rows = 1 << arity
     words = [_CountedWord(variable_word(i, 0, rows)) for i in range(arity)]
     _CountedWord.ops[0] = 0
-    assert connective_plan(arity, table)(words, *range(arity), _CountedWord((1 << rows) - 1)) == table
+    assert connective_plan(arity, table, ())(words, *range(arity), _CountedWord((1 << rows) - 1)) == table
     return _CountedWord.ops[0]
 
 
@@ -376,8 +375,7 @@ _KERNEL_SOURCE = re.compile(r"lambda V, ((?:i[0-9]+, )*)M: ([ViMfels0-9\[\]&|^()
 
 @pytest.fixture
 def kernel_sources(monkeypatch):
-    """Every source `connective_plan` and `specialised_plan` hand to
-    `compile` during the test."""
+    """Every source `connective_plan` hands to `compile` during the test."""
     sources = []
 
     def recording_compile(source, *rest):
@@ -386,10 +384,8 @@ def kernel_sources(monkeypatch):
 
     monkeypatch.setattr(formula, "compile", recording_compile, raising=False)
     connective_plan.cache_clear()
-    specialised_plan.cache_clear()
     yield sources
     connective_plan.cache_clear()
-    specialised_plan.cache_clear()
 
 
 def _check_kernel_source(source):
@@ -418,7 +414,7 @@ def test_kernel_sources_use_only_arguments_mask_and_operators(kernel_sources):
     assert len(kernel_sources) == 4 and " if V[i1] else " in kernel_sources[3]
     tables = set(_plan_tables())
     for arity, table in tables:
-        connective_plan(arity, table)
+        connective_plan(arity, table, ())
     assert len(kernel_sources) == len(tables) + 1
     for source in kernel_sources:
         _check_kernel_source(source)
@@ -437,9 +433,9 @@ def test_specialised_kernels_match_the_plain_kernel(kernel_sources):
     words = {width: [rng.getrandbits(width) for _ in range(3)] for width in (1, 64, 1 << 16)}
     for arity in range(4):
         for table in range(1 << (1 << arity)):
-            plain = connective_plan(arity, table)
+            plain = connective_plan(arity, table, ())
             for constants in _constant_patterns(arity):
-                kernel = specialised_plan(arity, table, constants)
+                kernel = connective_plan(arity, table, constants)
                 free = [i for i in range(arity) if i not in constants]
                 rows = 1 << len(free)
                 columns = [variable_word(j, 0, rows) for j in range(len(free))]
@@ -475,7 +471,7 @@ def test_wide_specialised_kernels_match_the_table():
     for _ in range(8):
         table = rng.getrandbits(1 << 16)
         constants = tuple(sorted(rng.sample(range(16), rng.randint(1, 3))))
-        kernel = specialised_plan(16, table, constants)
+        kernel = connective_plan(16, table, constants)
         for width in (1, 64):
             mask = (1 << width) - 1
             for _ in range(4):
@@ -556,9 +552,9 @@ def _shared_formulas(rng, base, names, count):
     return [*formulas, formulas[0], Formula.build(Var(names[-1]), base)]
 
 
-def _replay(program, words, width):
-    """Every formula's word from a replay of one block."""
-    (block,) = program.replay([words], width)
+def _replay(program, lane_words, width):
+    """Every formula's word from a replay of block 0 on the lane words."""
+    (block,) = program.replay(lane_words, [0], width)
     return list(block)
 
 
@@ -689,10 +685,10 @@ def test_program_persists_a_word_a_later_formula_reads():
     program = Program.compile((phi, psi), ("x", "y"), 1)
     assert _tier(program) == "all tracked"
     assert _persisting(program) == {2, 3, 4}
-    blocks = [[0b0101, 0], [0b0101, 0b1111], [0b0101, 0b1111], [0b0101, 0]]
-    for words, count, results in zip(blocks, (2, 1, 2, 2), program.replay(blocks, 4)):
+    blocks = [0, 1, 1, 0]
+    for block, count, results in zip(blocks, (2, 1, 2, 2), program.replay([0b0101], blocks, 4)):
         for f, word in zip((phi, psi)[:count], results):
-            assert word == evaluate_block(f, words, 4, ("x", "y"))
+            assert word == evaluate_block(f, [0b0101, 0b1111 * block], 4, ("x", "y"))
 
 
 @pytest.mark.parametrize("names", sorted(_LANE_BASES))
@@ -712,9 +708,10 @@ def test_program_replays_blocks_on_kept_invariant_words(names):
     for width in (64, 1 << 16):
         mask = (1 << width) - 1
         lanes = [rng.getrandbits(width + 3) for _ in range(4)]
-        blocks = [lanes + [rng.choice((0, mask)) for _ in range(2)] for _ in range(6)]
+        blocks = [sum(rng.choice((0, 1)) << i for i in range(2)) for _ in range(6)]
         reads = [rng.randrange(len(formulas) + 1) for _ in blocks]
-        for words, count, results in zip(blocks, reads, program.replay(blocks, width)):
+        for block, count, results in zip(blocks, reads, program.replay(lanes, blocks, width)):
+            words = lanes + [mask if block >> i & 1 else 0 for i in range(2)]
             for phi, word in zip(formulas[:count], results):
                 assert word == evaluate_block(phi, words, width, order), (width, format_formula(phi))
 
@@ -740,8 +737,8 @@ def test_program_replays_incrementally_on_every_tier(monkeypatch):
             lanes = [rng.getrandbits(width) for _ in range(16)]
             patterns = [p for p in range(1 << (len(order) - 16)) for _ in range(2)]
             rng.shuffle(patterns)
-            blocks = [lanes + [mask if p >> i & 1 else 0 for i in range(len(order) - 16)] for p in patterns]
-            for words, results in zip(blocks, program.replay(blocks, width)):
+            for p, results in zip(patterns, program.replay(lanes, patterns, width)):
+                words = lanes + [mask if p >> i & 1 else 0 for i in range(len(order) - 16)]
                 for phi, word in zip(formulas[: rng.randrange(len(formulas) + 1)], results):
                     assert word == evaluate_block(phi, words, width, order), (kept, names, format_formula(phi))
     assert {"every step", "lane steps once", "some tracked", "all tracked"} <= tiers
@@ -762,7 +759,7 @@ def test_program_keeps_no_invariant_word_beyond_the_bound():
         else:
             assert conditions == [0b11] * count and _persisting(program) == set()
         words = [variable_word(i, 0, 1 << 16) for i in range(16)]
-        for results in program.replay([words, words], 1 << 16):
+        for results in program.replay(words, [0, 0], 1 << 16):
             assert list(results) == [evaluate_block(phi, words, 1 << 16, names) for phi in formulas]
 
 
@@ -770,15 +767,9 @@ def test_program_errors():
     phi = parse_formula("and(x, y)", BASIC)
     with pytest.raises(ValueError, match="missing"):
         Program.compile((phi,), ("x",), 0)
-    program = Program.compile((phi,), ("x", "y"), 0)
-    with pytest.raises(ValueError, match="1 words supplied for 2 variables"):
+    program = Program.compile((phi,), ("x", "y"), 2)
+    with pytest.raises(ValueError, match="1 words supplied for 2 lane variables"):
         _replay(program, [1], 1)
-    # a block variable holds 0 or the mask; any other word is refused
-    program = Program.compile((phi,), ("x", "y"), 1)
-    blocks = program.replay([[0b0101, 0b1111], [0b0101, 0b0011]], 4)
-    assert list(next(blocks)) == [0b0101]
-    with pytest.raises(ValueError, match="block variable 'y' holds a word other than 0 and the mask"):
-        next(blocks)
 
 
 def _full_table(phi):
