@@ -26,8 +26,6 @@ from .classify import (
     classify_base,
     classify_base_single_premise,
     closure_fixed_arity,
-    contains_generator,
-    generators_in_closure,
 )
 from .decide import (
     Decision,
@@ -49,7 +47,6 @@ from .formula import (
     Instance,
     ParseError,
     Var,
-    evaluate,
     evaluate_block,
     extract_and_nf,
     extract_linear_nf,

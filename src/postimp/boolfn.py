@@ -64,16 +64,15 @@ class BooleanFunction:
         return "".join("1" if self.table >> j & 1 else "0" for j in range(self.rows))
 
 
-def variable_word(i: int, start: int, width: int) -> int:
-    """Lane pattern of variable i over assignments start..start+width-1.
+def variable_word(i: int, width: int) -> int:
+    """Lane pattern of variable i over assignments 0..width-1.
 
-    `start` must be a multiple of `width`, which must be a power of two; lane
-    k then carries bit ((start + k) >> i) & 1.  With start 0 and width
-    f.rows it is the column of x_{i+1} in f's table.
+    `width` must be a power of two; lane k then carries bit (k >> i) & 1.
+    With width f.rows it is the column of x_{i+1} in f's table.
     """
     period = 1 << i
     if period >= width:
-        return (1 << width) - 1 if start >> i & 1 else 0
+        return 0
     word = ((1 << period) - 1) << period  # one period of 0s, then one of 1s
     while word.bit_length() < width:
         word |= word << word.bit_length()
@@ -88,7 +87,7 @@ def is_c_reproducing(f: BooleanFunction, c: int) -> bool:
 def is_monotone(f: BooleanFunction) -> bool:
     """No single 0->1 input flip ever decreases the output."""
     for i in range(f.arity):
-        if f.table & ~variable_word(i, 0, f.rows) & ~(f.table >> (1 << i)):
+        if f.table & ~variable_word(i, f.rows) & ~(f.table >> (1 << i)):
             return False
     return True
 
@@ -130,7 +129,7 @@ def relevant_variables(f: BooleanFunction) -> frozenset:
     return frozenset(
         i + 1
         for i in range(f.arity)
-        if (f.table ^ f.table >> (1 << i)) & ~variable_word(i, 0, f.rows)
+        if (f.table ^ f.table >> (1 << i)) & ~variable_word(i, f.rows)
     )
 
 
@@ -188,7 +187,7 @@ def _predicted(f: BooleanFunction, point: int, op) -> bool:
     whole tables decides membership."""
     word = (1 << f.rows) - 1 if f.table >> point & 1 else 0
     for i in relevant_variables(f):
-        word = op(word, variable_word(i - 1, 0, f.rows))
+        word = op(word, variable_word(i - 1, f.rows))
     return word == f.table
 
 

@@ -147,7 +147,7 @@ def _membership_word(props: tuple, k: int) -> int:
     rows = 1 << k
     full = (1 << (1 << rows)) - 1
     top = rows - 1
-    x = [variable_word(r, 0, 1 << rows) for r in range(rows)]
+    x = [variable_word(r, 1 << rows) for r in range(rows)]
     nx = [w ^ full for w in x]
     r0, r1, monotone, self_dual, linear, disjunction, conjunction, unary, deg0, deg1 = props
     bad = (x[0] if r0 else 0) | (nx[top] if r1 else 0)
@@ -184,28 +184,9 @@ def _functions_of(k: int, word: int) -> frozenset:
     )
 
 
-def _check_closure_arity(k: int) -> None:
-    if not 1 <= k <= MAX_CLOSURE_ARITY:
-        raise ValueError(f"closure arity must lie in 1..{MAX_CLOSURE_ARITY}, got {k}")
-
-
 def closure_fixed_arity(base: Base, k: int) -> frozenset:
     """All k-ary functions expressible by base formulae over k fixed variables:
     the k-ary tables in every Post class that contains the base."""
-    _check_closure_arity(k)
+    if not 1 <= k <= MAX_CLOSURE_ARITY:
+        raise ValueError(f"closure arity must lie in 1..{MAX_CLOSURE_ARITY}, got {k}")
     return _functions_of(k, _membership_word(_base_properties(base), k))
-
-
-def generators_in_closure(base: Base, generators) -> set:
-    """Which of the given functions the base can compose."""
-    gens = tuple(generators)
-    _check_closure_arity(max(1, max((g.arity for g in gens), default=1)))
-    base_props = _base_properties(base)
-    return {g for g in gens if all(p >= q for p, q in zip(_properties(g), base_props))}
-
-
-def contains_generator(base: Base, g: BooleanFunction) -> bool:
-    """Is g a composition of base connectives (and projections)?"""
-    if g.arity > MAX_CLOSURE_ARITY:
-        raise ValueError(f"generator arity {g.arity} exceeds the closure cap {MAX_CLOSURE_ARITY}")
-    return bool(generators_in_closure(base, [g]))

@@ -65,7 +65,7 @@ class Decision:
 def _lane_words() -> tuple:
     """The words of the lane variables x1..x16 over one block of 2^16 lanes,
     built on first use and shared by every sweep: 16 words of 8 KiB."""
-    return tuple(variable_word(i, 0, 1 << _BLOCK_BITS) for i in range(_BLOCK_BITS))
+    return tuple(variable_word(i, 1 << _BLOCK_BITS) for i in range(_BLOCK_BITS))
 
 
 def decide_oracle(inst: Instance, max_vars: int = DEFAULT_VARIABLE_CAP) -> Decision:

@@ -4,9 +4,9 @@ Formulae are trees of applications of named base connectives to variables.
 `parse_formula` reads text in one pass, one regex scan and one loop that
 builds, checks and indexes the tree, so no second walk follows it.
 Variables are positioned by first occurrence; every coefficient extraction
-accepts an explicit variable order, a sequence of names or a dict from name
-to position (`Instance.index`, built once per instance), so that premises
-and a conclusion can share one index.  All four extractors (linear,
+accepts an explicit variable order as a dict from name to position
+(`Instance.index`, built once per instance), so that premises and a
+conclusion can share one index.  All four extractors (linear,
 disjunctive, conjunctive and unary) read their probe points off one
 bit-sliced `evaluate_block` pass, `_flip_scan`, over the formula's own
 variables: |vars(phi)|+1 points, however many variables the order holds.
@@ -276,40 +276,9 @@ def format_formula(phi) -> str:
     return "".join(out)
 
 
-def _resolve_order(phi: Formula, variables) -> tuple:
-    order = phi.variables if variables is None else tuple(variables)
-    missing = set(phi.variables) - set(order)
-    if missing:
-        raise ValueError(f"variable order is missing {sorted(missing)!r}")
-    return order
-
-
 def evaluate(phi: Formula, sigma: Sequence[int], variables=None) -> int:
-    """Evaluate under an assignment aligned with the given variable order."""
-    order = _resolve_order(phi, variables)
-    if len(sigma) < len(order):
-        raise ValueError(f"assignment has {len(sigma)} bits for {len(order)} variables")
-    env = dict(zip(order, sigma))
-    values = []
-    stack = [(phi.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Var):
-            values.append(env[node.name])
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.extend((a, False) for a in reversed(node.args))
-            continue
-        f = phi.base[node.fn]
-        index = 0
-        if f.arity:
-            args = values[-f.arity :]
-            del values[-f.arity :]
-            for i, b in enumerate(args):
-                index |= b << i
-        values.append(f.table >> index & 1)
-    return values[0]
+    """Evaluate under an assignment aligned with the given variable order: one lane."""
+    return evaluate_block(phi, sigma, 1, variables)
 
 
 def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=None) -> int:
@@ -320,9 +289,13 @@ def evaluate_block(phi: Formula, words: Sequence[int], width: int, variables=Non
     `plan(values, -arity, ..., -1, mask)`; returns the result word.  `width`
     is the number of live lanes.  The words are nonnegative, and one with
     bits beyond the lanes is cut to them, so every intermediate word stays
-    within the width's mask.
+    within the width's mask.  `variables` is the order of the words, phi's
+    own by default.
     """
-    order = _resolve_order(phi, variables)
+    order = phi.variables if variables is None else tuple(variables)
+    missing = set(phi.variables) - set(order)
+    if missing:
+        raise ValueError(f"variable order is missing {sorted(missing)!r}")
     if len(words) < len(order):
         raise ValueError(f"{len(words)} words supplied for {len(order)} variables")
     env = dict(zip(order, words))
@@ -645,7 +618,7 @@ def _factored_form(table: int, names) -> tuple:
     """
     arity = len(names)
     rows = 1 << arity
-    cols = [variable_word(i, 0, rows) for i in range(arity)]
+    cols = [variable_word(i, rows) for i in range(arity)]
     lows = [(1 << (1 << w)) - 1 for w in range(arity + 1)]  # all rows of w variables
     left = 0  # ops the candidate being factored may still spend
 
@@ -770,25 +743,20 @@ def _flip_scan(phi: Formula, variables, base_bit: int):
 
     The evaluation runs over phi's own variables: lane 0 holds the base point
     and lane j+1 flips phi's j-th variable, so it has |vars(phi)|+1 lanes
-    however long the order is.  `variables` is the order, a sequence of names
-    or a dict from name to position (`Instance.index`); the flips are placed
-    at their positions in it and packed into one int.  Returns (c0, flips, n)
-    with bit i of `flips` for the variable at position i of the order.
+    however long the order is.  `variables` is the order, a dict from name to
+    position (`Instance.index`), or None for phi's own order; the flips are
+    placed at their positions in it and packed into one int.  Returns
+    (c0, flips, n) with bit i of `flips` for the variable at position i of
+    the order.
     """
     own = phi.variables
-    if variables is None:
-        index, n = None, len(own)
-    elif isinstance(variables, dict):
-        index, n = variables, len(variables)
-    else:
-        order = tuple(variables)
-        index, n = {name: i for i, name in enumerate(order)}, len(order)
-    if index is not None:
-        try:
-            positions = [index[name] for name in own]
-        except KeyError:
-            missing = sorted(name for name in own if name not in index)
-            raise ValueError(f"variable order is missing {missing!r}") from None
+    index = {name: i for i, name in enumerate(own)} if variables is None else variables
+    try:
+        positions = [index[name] for name in own]
+    except KeyError:
+        missing = sorted(name for name in own if name not in index)
+        raise ValueError(f"variable order is missing {missing!r}") from None
+    n = len(index)
     k = len(own)
     if base_bit:
         full = (2 << k) - 1
@@ -800,8 +768,6 @@ def _flip_scan(phi: Formula, variables, base_bit: int):
     flips = word >> 1
     if c0:
         flips ^= (1 << k) - 1
-    if index is None:
-        return c0, flips, n
     # one byte array packed at the end: setting bits one by one in a growing
     # int would copy it per bit
     packed = bytearray((n + 7) >> 3)
@@ -893,6 +859,8 @@ def read_instance(path, base: Optional[Base] = None) -> Instance:
             if key == "base":
                 if base_ref is not None:
                     raise ValueError(f"{path}:{lineno}: duplicate 'base:' header")
+                if not value:
+                    raise ValueError(f"{path}:{lineno}: empty 'base:' header")
                 base_ref = (value, lineno)
             elif key == "premise":
                 premises_text.append((value, lineno))

@@ -38,7 +38,7 @@ from postimp.classify import (
     ImpClass,
     classify_base,
     classify_base_single_premise,
-    generators_in_closure,
+    closure_fixed_arity,
 )
 from postimp.cli import main
 from postimp.decide import (
@@ -71,7 +71,7 @@ from postimp.reductions import (
     reduce_tautdnf_d2,
     reduce_tautdnf_monotone,
 )
-from postimp.selftest import FRAGMENT_BASES, random_instance
+from postimp.selftest import FRAGMENT_BASES, run_selftest
 
 LIN_CONST = Base.of(XOR2, TOP)
 V = Base.of(OR2, BOT, TOP)
@@ -140,7 +140,8 @@ def test_criterion_2_dichotomy_cross_validation():
         mismatches = []
         for label, base in bases:
             hard = classify_base(base).complexity is ImpClass.CONP_COMPLETE
-            found = bool(generators_in_closure(base, witnesses))
+            tables = {f.table for f in closure_fixed_arity(base, 3)}
+            found = any(w.table in tables for w in witnesses)
             if hard != found:
                 mismatches.append(label)
         assert not mismatches, mismatches
@@ -151,7 +152,6 @@ FRAGMENT_CHECKS = {
     "or": decide_or_fragment,
     "and": decide_and_fragment,
     "unary": decide_unary_fragment,
-    "single-linear": None,  # handled via decide_single_linear
 }
 
 MICRO_FRAGMENT_BASES = {
@@ -162,25 +162,20 @@ MICRO_FRAGMENT_BASES = {
 }
 
 
-def _fragment_answer(fragment, instance):
-    decider = FRAGMENT_CHECKS[fragment]
-    if decider is None:
-        return decide_single_linear(instance.premises[0], instance.conclusion)
-    return decider(instance)
-
-
 def test_criterion_3_fragment_oracle_agreement():
     cases_per_fragment = 10_000
     with budget("fragment vs oracle agreement", 120.0):
-        for fragment in sorted(FRAGMENT_CHECKS):
-            rng = random.Random(f"acceptance:{fragment}")
-            single = fragment == "single-linear"
-            for k in range(cases_per_fragment):
-                base = rng.choice(FRAGMENT_BASES[fragment])
-                instance = random_instance(rng, base, max_vars=10, max_premises=4, single=single)
-                fast = _fragment_answer(fragment, instance)
-                slow = decide_oracle(instance)
-                assert fast.implies == slow.implies, (fragment, k)
+        # each base classifies to its fragment, so dispatch reaches that
+        # fragment's decider; single-linear bases are linear, decided with
+        # one premise
+        for fragment, bases in FRAGMENT_BASES.items():
+            expected = Fragment(fragment.removeprefix("single-"))
+            assert all(classify_base(base).fragment is expected for base in bases), fragment
+        # the self-test seeds each fragment's rng with "acceptance:<fragment>"
+        report = run_selftest("acceptance", cases_per_fragment)
+        assert report["fragments"] == {
+            fragment: {"cases": cases_per_fragment, "disagreements": 0} for fragment in FRAGMENT_BASES
+        }, report
         # exhaustive micro-instances: every semantic class of depth <= 3 trees
         for fragment, base in MICRO_FRAGMENT_BASES.items():
             reps = list(semantic_formulas(base, ("x", "y", "z"), 3).values())
@@ -188,7 +183,7 @@ def test_criterion_3_fragment_oracle_agreement():
                 for count in (0, 1, 2):
                     for premises in itertools.product(reps, repeat=count):
                         instance = Instance.build(base, premises, goal)
-                        fast = _fragment_answer(fragment, instance)
+                        fast = FRAGMENT_CHECKS[fragment](instance)
                         assert fast.implies == naive_implies(instance)[0]
         reps = list(semantic_formulas(L2, ("x", "y", "z"), 3).values())
         micro_lin = list(semantic_formulas(MICRO_FRAGMENT_BASES["linear"], ("x", "y", "z"), 3).values())
@@ -228,8 +223,8 @@ def test_criterion_4_single_linear_rule():
                 corrected = decide_single_linear(premise, goal).implies
                 truth = naive_implies(instance)[0]
                 assert corrected == truth
-                lnf = extract_linear_nf(premise, instance.variables)
-                rnf = extract_linear_nf(goal, instance.variables)
+                lnf = extract_linear_nf(premise, instance.index)
+                rnf = extract_linear_nf(goal, instance.index)
                 published = (lnf.c0 == 0 and not lnf.mask) or lnf == rnf
                 if published != truth:
                     published_disagreements.append((lnf, rnf))
@@ -286,7 +281,7 @@ def test_wide_connective_budget():
     base = Base.of(BooleanFunction("xor16", arity, parity))
     phi = Formula.build(App("xor16", tuple(Var(v) for v in names)), base)
     width = 1 << arity
-    words = [variable_word(i, 0, width) for i in range(arity)]
+    words = [variable_word(i, width) for i in range(arity)]
     connective_plan.cache_clear()
     with budget("16-ary xor, ten calls of 2^16 lanes, plan included", 3.0):
         for _ in range(10):
@@ -301,7 +296,7 @@ def test_wide_random_connective_budget():
     base = Base.of(BooleanFunction("rnd16", arity, table))
     phi = Formula.build(App("rnd16", tuple(Var(f"x{i}") for i in range(1, arity + 1))), base)
     width = 1 << arity
-    words = [variable_word(i, 0, width) for i in range(arity)]
+    words = [variable_word(i, width) for i in range(arity)]
     connective_plan.cache_clear()
     with budget("random 16-ary connective, one call of 2^16 lanes, plan included", 3.0):
         assert evaluate_block(phi, words, width) == table

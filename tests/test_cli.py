@@ -164,6 +164,16 @@ def test_decide_parse_error_names_line(capsys, tmp_path, base_file):
     assert "broken.txt:2" in err and "expects 2 argument" in err
 
 
+def test_decide_refuses_an_empty_base_header(capsys, tmp_path, base_file):
+    # an empty path would resolve to the instance's own directory
+    inst = tmp_path / "inst.txt"
+    for header in ("base:", "base:   "):
+        inst.write_text(f"# no path\n{header}\npremise: x\nconclusion: x\n")
+        for argv in ((), ("--base", str(base_file)), ("--format", "record")):
+            code, out, err = run(capsys, "decide", "--instance", str(inst), *argv)
+            assert (code, out, err) == (1, "", f"error: {inst}:2: empty 'base:' header\n")
+
+
 def test_reduce_and_decide_roundtrip(capsys, tmp_path):
     dnf = tmp_path / "phi.dnf"
     dnf.write_text("x1\n-x1\n")

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import naive_implies, semantic_formulas
+from helpers import naive_implies, naive_value, semantic_formulas
 from postimp.boolfn import AND2, BOT, MAJ3, NOT, OR2, TOP, XOR2, XOR3, BooleanFunction
 from postimp.classify import Fragment
 from postimp.decide import (
@@ -29,7 +29,6 @@ from postimp.formula import (
     Program,
     Var,
     connective_count,
-    evaluate,
     evaluate_block,
     iter_nodes,
     parse_formula,
@@ -53,11 +52,11 @@ def inst(base, premises, conclusion):
 
 
 def check_counterexample(instance, decision):
-    assert decision.counterexample is not None
-    sigma = [decision.counterexample[name] for name in instance.variables]
+    sigma = decision.counterexample
+    assert sigma is not None
     for psi in instance.premises:
-        assert evaluate(psi, sigma, instance.variables) == 1
-    assert evaluate(instance.conclusion, sigma, instance.variables) == 0
+        assert naive_value(psi.root, instance.base, sigma) == 1
+    assert naive_value(instance.conclusion.root, instance.base, sigma) == 0
 
 
 def test_oracle_basics():
@@ -397,7 +396,7 @@ def _distinct_applications(phi):
 def test_multi_block_oracle_skips_a_block_its_premises_rule_out(monkeypatch):
     instance = multi_block_instances()[-1]
     assert instance.variables[16] == "x17"
-    words = [variable_word(i, 0, 1 << 16) for i in range(16)] + [0]
+    words = [variable_word(i, 1 << 16) for i in range(16)] + [0]
     assert evaluate_block(instance.premises[1], words, 1 << 16, instance.variables) == 0
     applied = _count_applications(monkeypatch)
     d = decide_oracle(instance)
@@ -418,7 +417,7 @@ def _lane_blocks(n):
     """The oracle's blocks of words over n > 16 variables, in order."""
     width = 1 << 16
     mask = (1 << width) - 1
-    low = [variable_word(i, 0, width) for i in range(16)]
+    low = [variable_word(i, width) for i in range(16)]
     return [low + [mask if block >> i & 1 else 0 for i in range(n - 16)] for block in range(1 << (n - 16))]
 
 
@@ -578,10 +577,10 @@ def test_lane_words_are_built_once(monkeypatch):
     monkeypatch.setattr(decide, "variable_word", lambda *args: built.append(args) or make(*args))
     decide._lane_words.cache_clear()
     first = decide_oracle(instance)
-    assert built == [(i, 0, 1 << 16) for i in range(16)]
+    assert built == [(i, 1 << 16) for i in range(16)]
     built.clear()
     assert decide_oracle(instance) == first and built == []
-    assert decide._lane_words() == tuple(variable_word(i, 0, 1 << 16) for i in range(16))
+    assert decide._lane_words() == tuple(variable_word(i, 1 << 16) for i in range(16))
 
 
 def test_multi_block_oracle_applies_an_invariant_step_once(monkeypatch):

@@ -280,21 +280,20 @@ def test_evaluate_block_matches_scalar(node):
     phi = Formula.build(node, BASIC)
     n = len(phi.variables)
     width = 1 << n
-    words = [variable_word(i, 0, width) for i in range(n)]
+    words = [variable_word(i, width) for i in range(n)]
     word = evaluate_block(phi, words, width)
     for j in range(width):
-        sigma = [(j >> i) & 1 for i in range(n)]
-        assert word >> j & 1 == evaluate(phi, sigma)
+        env = {name: j >> i & 1 for i, name in enumerate(phi.variables)}
+        assert word >> j & 1 == naive_value(phi.root, BASIC, env)
 
 
 def test_variable_word_matches_per_lane_reference():
-    # lane j of the word over assignments start..start+width-1 carries bit i of start + j
+    # lane j of the word over assignments 0..width-1 carries bit i of j
     for w in range(17):
         width = 1 << w
-        for start in (0, 0xACA69 >> w << w):
-            for i in range(20):
-                lanes = "".join(str((start + j) >> i & 1) for j in reversed(range(width)))
-                assert variable_word(i, start, width) == int(lanes, 2), (i, start, width)
+        for i in range(20):
+            lanes = "".join(str(j >> i & 1) for j in reversed(range(width)))
+            assert variable_word(i, width) == int(lanes, 2), (i, width)
 
 
 def _plan_tables():
@@ -311,7 +310,7 @@ def _plan_tables():
 def test_plan_applied_to_the_rows_gives_the_table():
     for arity, table in _plan_tables():
         rows = 1 << arity
-        words = [variable_word(i, 0, rows) for i in range(arity)]
+        words = [variable_word(i, rows) for i in range(arity)]
         assert connective_plan(arity, table, ())(words, *range(arity), (1 << rows) - 1) == table, (arity, table)
 
 
@@ -340,7 +339,7 @@ class _CountedWord(int):
 def _kernel_ops(arity, table):
     """Big-int operations the kernel of a table spends on the full rows."""
     rows = 1 << arity
-    words = [_CountedWord(variable_word(i, 0, rows)) for i in range(arity)]
+    words = [_CountedWord(variable_word(i, rows)) for i in range(arity)]
     _CountedWord.ops[0] = 0
     assert connective_plan(arity, table, ())(words, *range(arity), _CountedWord((1 << rows) - 1)) == table
     return _CountedWord.ops[0]
@@ -362,7 +361,7 @@ def test_wide_random_kernel_is_factored():
     # factor of each monomial, about 262000, and the factored kernel a fifth
     arity, rows = 16, 1 << 16
     table = random.Random("wide-random").getrandbits(rows)
-    cols = [variable_word(i, 0, rows) for i in range(arity)]
+    cols = [variable_word(i, rows) for i in range(arity)]
     anf = table
     for i, col in enumerate(cols):
         anf ^= anf << (1 << i) & col
@@ -438,7 +437,7 @@ def test_specialised_kernels_match_the_plain_kernel(kernel_sources):
                 kernel = connective_plan(arity, table, constants)
                 free = [i for i in range(arity) if i not in constants]
                 rows = 1 << len(free)
-                columns = [variable_word(j, 0, rows) for j in range(len(free))]
+                columns = [variable_word(j, rows) for j in range(len(free))]
                 for pattern in range(1 << len(constants)):
                     ones = {p for k, p in enumerate(constants) if pattern >> k & 1}
                     # the restricted table, read off the plain kernel over the free arguments
@@ -518,7 +517,7 @@ def test_evaluate_block_full_width_and_premasked_words_agree(width):
     # are cut to the lanes only where they are wider
     rng = random.Random(f"premasked-{width}")
     order = tuple(f"v{i}" for i in range(1, 17))
-    full = [variable_word(i, 0, 1 << 16) for i in range(16)]
+    full = [variable_word(i, 1 << 16) for i in range(16)]
     masked = [w & (1 << width) - 1 for w in full]
     for _ in range(3):
         phi = Formula.build(_random_formula(rng, BASIC, order, 7), BASIC)
@@ -758,7 +757,7 @@ def test_program_keeps_no_invariant_word_beyond_the_bound():
             assert conditions == [0b10] * count and len(_persisting(program)) == count
         else:
             assert conditions == [0b11] * count and _persisting(program) == set()
-        words = [variable_word(i, 0, 1 << 16) for i in range(16)]
+        words = [variable_word(i, 1 << 16) for i in range(16)]
         for results in program.replay(words, [0, 0], 1 << 16):
             assert list(results) == [evaluate_block(phi, words, 1 << 16, names) for phi in formulas]
 
@@ -775,7 +774,7 @@ def test_program_errors():
 def _full_table(phi):
     # one lane per assignment of the formula's own variables
     n = len(phi.variables)
-    words = [variable_word(i, 0, 1 << n) for i in range(n)]
+    words = [variable_word(i, 1 << n) for i in range(n)]
     return evaluate_block(phi, words, 1 << n)
 
 
@@ -844,22 +843,23 @@ def test_extraction_reconstructs_truth_table(base, extract):
     for trial in range(160):
         names = tuple(f"v{i}" for i in range(1, 13 if trial % 16 == 0 else 9))
         phi = Formula.build(_random_formula(rng, base, names, 4), base)
-        nf = extract(phi, names)
+        nf = extract(phi, {name: i for i, name in enumerate(names)})
         for j in range(1 << len(names)):
             sigma = [(j >> i) & 1 for i in range(len(names))]
-            assert form_value(nf, sigma) == evaluate(phi, sigma, names), format_formula(phi)
+            env = dict(zip(names, sigma))
+            assert form_value(nf, sigma) == naive_value(phi.root, base, env), format_formula(phi)
 
 
 
 def _scalar_flip_reference(phi, order, kind):
     # the extraction rule spelled out with n+1 scalar evaluations
-    point = [1 if kind == "and" else 0] * len(order)
-    c0 = evaluate(phi, point, order)
+    point = dict.fromkeys(order, 1 if kind == "and" else 0)
+    c0 = naive_value(phi.root, phi.base, point)
     coeffs = []
-    for i in range(len(order)):
-        point[i] ^= 1
-        flipped = evaluate(phi, point, order)
-        point[i] ^= 1
+    for name in order:
+        point[name] ^= 1
+        flipped = naive_value(phi.root, phi.base, point)
+        point[name] ^= 1
         if kind in ("linear", "unary"):
             coeffs.append(flipped ^ c0)
         elif kind == "or":
@@ -908,7 +908,7 @@ def test_extraction_beyond_one_word(base, extract, kind):
         phi = Formula.build(_wide_formula(rng, base, used, const_rate), base)
         order = list(pool)
         rng.shuffle(order)
-        nf = extract(phi, order)
+        nf = extract(phi, {name: i for i, name in enumerate(order)})
         c0, coeffs = _scalar_flip_reference(phi, order, kind)
         assert (nf.c0, nf.mask, nf.n) == (c0, sum(c << i for i, c in enumerate(coeffs)), len(order))
         constant_form = {"linear": False, "unary": False, "or": c0 == 1, "and": c0 == 0}[kind]
@@ -917,11 +917,11 @@ def test_extraction_beyond_one_word(base, extract, kind):
             assert absent and not any(nf.mask >> i & 1 for i in absent)
         for _ in range(12):
             sigma = [rng.getrandbits(1) for _ in order]
-            assert form_value(nf, sigma) == evaluate(phi, sigma, order)
+            assert form_value(nf, sigma) == naive_value(phi.root, base, dict(zip(order, sigma)))
         if not phi.variables:
-            bare = extract(phi, ())
+            bare = extract(phi, {})
             assert (bare.c0, bare.mask, bare.n) == (c0, 0, 0)
-            assert form_value(bare, []) == evaluate(phi, [], ())
+            assert form_value(bare, []) == naive_value(phi.root, base, {})
 
 
 def _full_order_scan(phi, order, base_bit):
@@ -971,14 +971,13 @@ def _fragment_node(base):
 @given(data=st.data())
 def test_extraction_over_own_variables_matches_full_order_scan(kind, data):
     # the order holds variables absent from the formula, in shuffled order;
-    # given as a sequence, as a dict and as an instance's index, it must give
-    # what the scan over all of its len(order)+1 lanes gives
+    # given as a dict and as an instance's index, it must give what the scan
+    # over all of its len(order)+1 lanes gives
     base, extract, form, base_bit, _ = _EXTRACTORS[kind]
     phi = Formula.build(data.draw(_fragment_node(base)), base)
     extra = data.draw(st.lists(st.sampled_from(_EXTRA_NAMES), unique=True, max_size=8))
     order = data.draw(st.permutations(list(dict.fromkeys((*phi.variables, *extra)))))
     expected = form.from_flips(*_full_order_scan(phi, order, base_bit))
-    assert extract(phi, order) == expected
     assert extract(phi, {name: i for i, name in enumerate(order)}) == expected
     # a premise ahead of phi moves phi's variables in the instance's index
     lead = Formula.build(Var(extra[0]) if extra else App("top"), base)
@@ -991,15 +990,15 @@ def test_extraction_over_own_variables_matches_full_order_scan(kind, data):
 def test_extraction_errors_fragment_before_missing_variable(kind):
     base, extract, _, _, text = _EXTRACTORS[kind]
     phi = parse_formula(text, base)
-    for order in (("x",), ("e1", "x", "e2"), {"x": 0}):
+    for order in ({"x": 0}, {"e1": 0, "x": 1, "e2": 2}):
         with pytest.raises(ValueError, match=re.escape("variable order is missing ['y']")) as caught:
             extract(phi, order)
         assert caught.type is ValueError
     with pytest.raises(ValueError, match=re.escape("variable order is missing ['x', 'y']")):
-        extract(phi, ())
+        extract(phi, {})
     # a connective outside the fragment is reported before a missing variable
     outside = parse_formula("or(x, y)" if kind == "and" else "and(x, y)", BASIC)
-    for order in (("x",), {}, ()):
+    for order in ({"x": 0}, {}):
         with pytest.raises(FragmentError, match="is not"):
             extract(outside, order)
 
