@@ -7,15 +7,14 @@ a_i = (j >> (i - 1)) & 1.  The constants are the 0-ary functions with tables
 
 Every Post-class test reads the whole table at once.  `variable_word` gives
 the column of each input, so monotonicity and relevance cost one shift and
-mask per input, and membership in L, V or E is one comparison with the table
-that f's constant and its relevant columns predict.  The coefficient forms
+mask per input.  `profile` reads f's constants, its relevant inputs and its
+membership in L, V, E and N in one pass over the columns.  The coefficient forms
 carry what the formula extractors read off a formula.
 """
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 MAX_ARITY = 16
 
@@ -79,11 +78,6 @@ def variable_word(i: int, width: int) -> int:
     return word
 
 
-def is_c_reproducing(f: BooleanFunction, c: int) -> bool:
-    """f(c, ..., c) = c."""
-    return f.table >> (f.rows - 1 if c else 0) & 1 == c
-
-
 def is_monotone(f: BooleanFunction) -> bool:
     """No single 0->1 input flip ever decreases the output."""
     for i in range(f.arity):
@@ -124,13 +118,43 @@ def separation_degree(f: BooleanFunction, c: int) -> float:
     return math.inf
 
 
-def relevant_variables(f: BooleanFunction) -> frozenset:
-    """1-based indices of inputs that can flip the output."""
-    return frozenset(
-        i + 1
-        for i in range(f.arity)
-        if (f.table ^ f.table >> (1 << i)) & ~variable_word(i, f.rows)
-    )
+class Profile(NamedTuple):
+    """What one pass over f's columns reads off: f on the all-0 row (`c0`)
+    and on the all-1 row (`c1`), the mask of its relevant inputs (bit i for
+    x_{i+1}), and its membership in Post's classes L, V and E."""
+
+    c0: int
+    c1: int
+    relevant: int
+    linear: bool
+    disjunction: bool
+    conjunction: bool
+
+    @property
+    def unary(self) -> bool:
+        """At most one relevant input: Post's class N."""
+        return self.relevant & (self.relevant - 1) == 0
+
+
+def profile(f: BooleanFunction) -> Profile:
+    """f's only candidates in L, V and E are its value at row 0 combined by
+    ^ or | with the columns of its relevant inputs, and its value at the top
+    row combined with them by &; each relevant column is folded into all
+    three, and one comparison of whole tables decides each membership."""
+    table, rows = f.table, f.rows
+    full = (1 << rows) - 1
+    c0, c1 = table & 1, table >> (rows - 1) & 1
+    relevant = 0
+    xor = disjunction = full if c0 else 0
+    conjunction = full if c1 else 0
+    for i in range(f.arity):
+        column = variable_word(i, rows)
+        if (table ^ table >> (1 << i)) & ~column:
+            relevant |= 1 << i
+            xor ^= column
+            disjunction |= column
+            conjunction &= column
+    return Profile(c0, c1, relevant, xor == table, disjunction == table, conjunction == table)
 
 
 @dataclass(frozen=True)
@@ -180,40 +204,19 @@ class AndNormalForm(_CoefficientForm):
         return cls(c0, flips if c0 else (1 << n) - 1, n)
 
 
-def _predicted(f: BooleanFunction, point: int, op) -> bool:
-    """Is f its value at row `point` combined by `op` with the columns of its
-    relevant variables?  That table is f's only candidate in L (^ from row
-    0), V (| from row 0) or E (& from the top row), so one comparison of
-    whole tables decides membership."""
-    word = (1 << f.rows) - 1 if f.table >> point & 1 else 0
-    for i in relevant_variables(f):
-        word = op(word, variable_word(i - 1, f.rows))
-    return word == f.table
-
-
-def is_linear(f: BooleanFunction) -> bool:
-    """f = c0 xor c1*x1 xor ... xor cn*xn (Post's class L)."""
-    return _predicted(f, 0, operator.xor)
-
-
-def is_disjunction(f: BooleanFunction) -> bool:
-    """f = c0 or a disjunction of variables (Post's class V)."""
-    return _predicted(f, 0, operator.or_)
-
-
-def is_conjunction(f: BooleanFunction) -> bool:
-    """f = c1 and a conjunction of variables (Post's class E)."""
-    return _predicted(f, f.rows - 1, operator.and_)
+def content_lines(lines):
+    """(line number, stripped line) of each line neither blank nor a `#` comment."""
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
 
 
 def read_functions(path) -> list:
     """Parse a function-table file: one `name arity bits` entry per line."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(fh):
             parts = line.split()
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 'name arity bits', got {line!r}")

@@ -1,9 +1,8 @@
 """Complexity classification of a connective base, and the closure of a base
 at a fixed arity, used to cross-validate the classification.
 
-The fast classifier tests membership in the Post classes V, E and L
-connective by connective, each by one comparison of whole truth tables
-(`boolfn.is_disjunction`, `is_conjunction`, `is_linear`): a base whose
+The fast classifier reads membership in the Post classes V, E and L
+connective by connective from one `boolfn.profile` each: a base whose
 connectives are all disjunctions (or all conjunctions) is constant-depth
 decidable; an all-linear base is parity-hard once some connective has two or
 more relevant variables (identifying variables in such a connective yields the
@@ -25,7 +24,7 @@ import operator
 from dataclasses import dataclass
 
 from . import boolfn
-from .boolfn import BooleanFunction, relevant_variables, variable_word
+from .boolfn import BooleanFunction, variable_word
 from .formula import Base
 
 MAX_CLOSURE_ARITY = 4
@@ -56,23 +55,24 @@ class ImpComplexity:
 
 def classify_base(base: Base) -> ImpComplexity:
     """Complexity of the implication problem with set-valued premises."""
-    non_disjunction = next((f for f in base.functions if not boolfn.is_disjunction(f)), None)
+    profiles = [(f, boolfn.profile(f)) for f in base.functions]
+    non_disjunction = next((f for f, p in profiles if not p.disjunction), None)
     if non_disjunction is None:
         return ImpComplexity(
             ImpClass.AC0, Fragment.OR, "every connective is a disjunction of variables and constants"
         )
-    non_conjunction = next((f for f in base.functions if not boolfn.is_conjunction(f)), None)
+    non_conjunction = next((f for f, p in profiles if not p.conjunction), None)
     if non_conjunction is None:
         return ImpComplexity(
             ImpClass.AC0, Fragment.AND, "every connective is a conjunction of variables and constants"
         )
-    non_linear = next((f for f in base.functions if not boolfn.is_linear(f)), None)
+    non_linear = next((f for f, p in profiles if not p.linear), None)
     if non_linear is None:
-        wide = next((f for f in base.functions if len(relevant_variables(f)) > 1), None)
+        wide = next(((f, p) for f, p in profiles if not p.unary), None)
         if wide is None:
             # constants and projections are disjunctions, so some literal
             # here is a negation: 1 on the all-0 row
-            negation = next(f for f in base.functions if f.table & 1 and relevant_variables(f))
+            negation = next(f for f, p in profiles if p.c0 and p.relevant)
             return ImpComplexity(
                 ImpClass.AC0_MOD2,
                 Fragment.UNARY,
@@ -81,8 +81,8 @@ def classify_base(base: Base) -> ImpComplexity:
         return ImpComplexity(
             ImpClass.PARITYL_COMPLETE,
             Fragment.LINEAR,
-            f"every connective is linear and {wide.name!r} depends on "
-            f"{len(relevant_variables(wide))} variables",
+            f"every connective is linear and {wide[0].name!r} depends on "
+            f"{wide[1].relevant.bit_count()} variables",
         )
     return ImpComplexity(
         ImpClass.CONP_COMPLETE,
@@ -107,11 +107,11 @@ def classify_base_single_premise(base: Base) -> ImpComplexity:
 def _properties(f: BooleanFunction) -> tuple:
     """f's class vector: membership in R0, R1, M, D, L, V, E and N, then its
     degrees of 0- and 1-separation."""
+    p = boolfn.profile(f)
     return (
-        boolfn.is_c_reproducing(f, 0), boolfn.is_c_reproducing(f, 1),
+        not p.c0, p.c1 == 1,
         boolfn.is_monotone(f), boolfn.is_self_dual(f),
-        boolfn.is_linear(f), boolfn.is_disjunction(f), boolfn.is_conjunction(f),
-        len(relevant_variables(f)) <= 1,
+        p.linear, p.disjunction, p.conjunction, p.unary,
         boolfn.separation_degree(f, 0), boolfn.separation_degree(f, 1),
     )
 

@@ -11,10 +11,9 @@ import os
 import sys
 import time
 
-from .boolfn import ArityError
 from .classify import Fragment, classify_base, classify_base_single_premise, closure_fixed_arity
 from .decide import DEFAULT_VARIABLE_CAP, Mode, VariableCapError, dispatch
-from .formula import Base, FragmentError, ParseError, read_instance, write_instance
+from .formula import Base, read_instance, write_instance
 from .gf2 import read_system
 from .reductions import (
     read_dnf,
@@ -27,10 +26,6 @@ from .reductions import (
 from .selftest import MAX_CASES, run_selftest
 
 REDUCTION_KINDS = ("tautdnf-monotone", "tautdnf-d2", "linsys", "mod2-unary", "mod2-single")
-
-
-def _record(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True)
 
 
 def run_classify(args: argparse.Namespace):
@@ -50,7 +45,7 @@ def run_classify(args: argparse.Namespace):
         f"{mode.value}({{{', '.join(base.names)}}}): {verdict.complexity.value} "
         f"[fragment {verdict.fragment.value}] -- {verdict.witness}"
     )
-    return record, human
+    return record, human, 0
 
 
 def run_decide(args: argparse.Namespace):
@@ -71,7 +66,7 @@ def run_decide(args: argparse.Namespace):
     if decision.counterexample is not None:
         shown = " ".join(f"{k}={v}" for k, v in decision.counterexample.items())
         human += f"; counterexample: {shown}"
-    return record, human
+    return record, human, 0
 
 
 def run_reduce(args: argparse.Namespace):
@@ -86,10 +81,8 @@ def run_reduce(args: argparse.Namespace):
         inst, _goal = reduce_linsys_to_imp(read_system(args.input))
     elif args.kind == "mod2-unary":
         inst = reduce_mod2_unary(args.input)
-    elif args.kind == "mod2-single":
-        inst = reduce_mod2_single_linear(args.input)
     else:
-        raise ValueError(f"unknown reduction kind {args.kind!r}")
+        inst = reduce_mod2_single_linear(args.input)
     inst.base.save(args.out_base)
     ref = os.path.relpath(
         os.path.abspath(args.out_base), os.path.dirname(os.path.abspath(args.out_instance))
@@ -106,7 +99,7 @@ def run_reduce(args: argparse.Namespace):
         f"wrote {args.kind} instance to {args.out_instance} (base {args.out_base}): "
         f"{len(inst.premises)} premise(s), {len(inst.variables)} variable(s)"
     )
-    return record, human
+    return record, human, 0
 
 
 def run_closure(args: argparse.Namespace):
@@ -120,7 +113,7 @@ def run_closure(args: argparse.Namespace):
     }
     human = f"closure of {{{', '.join(base.names)}}} at arity {args.arity}: {len(tables)} function(s)\n"
     human += "\n".join(tables)
-    return record, human
+    return record, human, 0
 
 
 def run_selftest_command(args: argparse.Namespace):
@@ -135,7 +128,7 @@ def run_selftest_command(args: argparse.Namespace):
     lines.append(
         f"total disagreements: {report['total_disagreements']} (elapsed {elapsed:.2f}s)"
     )
-    return report, "\n".join(lines), report["total_disagreements"]
+    return report, "\n".join(lines), 1 if report["total_disagreements"] else 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -152,10 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--base", required=True)
     p_classify.add_argument("--single-premise", action="store_true", dest="single_premise")
     add_format(p_classify)
+    p_classify.set_defaults(run=run_classify)
 
     p_decide = sub.add_parser("decide", help="decide an implication instance file")
     p_decide.add_argument("--instance", required=True)
-    p_decide.add_argument("--base", help="overrides the instance file's base: header")
+    p_decide.add_argument("--base", help="overrides the base: header's path; the header must still be well-formed")
     p_decide.add_argument("--single-premise", action="store_true", dest="single_premise")
     p_decide.add_argument(
         "--force-fragment",
@@ -164,6 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_decide.add_argument("--max-vars", type=int, default=DEFAULT_VARIABLE_CAP, dest="max_vars")
     add_format(p_decide)
+    p_decide.set_defaults(run=run_decide)
 
     p_reduce = sub.add_parser("reduce", help="emit a reduction instance plus its base file")
     p_reduce.add_argument("kind", choices=REDUCTION_KINDS)
@@ -176,11 +171,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--out-instance", default="instance.txt", dest="out_instance")
     p_reduce.add_argument("--out-base", default="base.txt", dest="out_base")
     add_format(p_reduce)
+    p_reduce.set_defaults(run=run_reduce)
 
     p_closure = sub.add_parser("closure", help="enumerate the composition closure at a fixed arity")
     p_closure.add_argument("--base", required=True)
     p_closure.add_argument("--arity", type=int, default=3)
     add_format(p_closure)
+    p_closure.set_defaults(run=run_closure)
 
     p_selftest = sub.add_parser("selftest", help="random cross-check of fragment deciders vs the oracle")
     p_selftest.add_argument("--seed", type=int, default=0)
@@ -188,6 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cases", type=int, default=1000, help=f"cases per fragment, from 0 to {MAX_CASES} (default 1000)"
     )
     add_format(p_selftest)
+    p_selftest.set_defaults(run=run_selftest_command)
 
     return parser
 
@@ -208,20 +206,9 @@ def _emit(text: str, status: int) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    status = 0
     try:
-        if args.command == "classify":
-            record, human = run_classify(args)
-        elif args.command == "decide":
-            record, human = run_decide(args)
-        elif args.command == "reduce":
-            record, human = run_reduce(args)
-        elif args.command == "closure":
-            record, human = run_closure(args)
-        else:
-            record, human, failures = run_selftest_command(args)
-            status = 1 if failures else 0
-    except (ValueError, ArityError, ParseError, FragmentError, VariableCapError, OSError) as exc:
+        record, human, status = args.run(args)
+    except (ValueError, VariableCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return _emit(_record(record) if args.out_format == "record" else human, status)
+    return _emit(json.dumps(record, sort_keys=True) if args.out_format == "record" else human, status)

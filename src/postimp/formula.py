@@ -731,9 +731,9 @@ def _used_functions(phi: Formula):
     return [phi.base[name] for name in sorted(names)]
 
 
-def _require_fragment(phi: Formula, member, what: str) -> None:
+def _require_fragment(phi: Formula, member: str, what: str) -> None:
     for f in _used_functions(phi):
-        if not member(f):
+        if not getattr(boolfn.profile(f), member):
             raise FragmentError(f"connective {f.name!r} is not {what}")
 
 
@@ -784,19 +784,19 @@ def extract_linear_nf(phi: Formula, variables=None) -> LinearNormalForm:
     checked up front; all |vars(phi)|+1 points go through one `evaluate_block`
     call.
     """
-    _require_fragment(phi, boolfn.is_linear, "linear")
+    _require_fragment(phi, "linear", "linear")
     return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
 def extract_or_nf(phi: Formula, variables=None) -> OrNormalForm:
     """Disjunction coefficients from the zero vector and the unit vectors."""
-    _require_fragment(phi, boolfn.is_disjunction, "a disjunction")
+    _require_fragment(phi, "disjunction", "a disjunction")
     return OrNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
 def extract_and_nf(phi: Formula, variables=None) -> AndNormalForm:
     """Conjunction coefficients, dually, from the all-ones and co-unit vectors."""
-    _require_fragment(phi, boolfn.is_conjunction, "a conjunction")
+    _require_fragment(phi, "conjunction", "a conjunction")
     return AndNormalForm.from_flips(*_flip_scan(phi, variables, 1))
 
 
@@ -806,7 +806,7 @@ def extract_unary_nf(phi: Formula, variables=None) -> LinearNormalForm:
     Every connective depends on at most one input, so the formula does too;
     such a formula is linear and its flips at the zero vector describe it.
     """
-    _require_fragment(phi, lambda f: len(boolfn.relevant_variables(f)) <= 1, "unary")
+    _require_fragment(phi, "unary", "unary")
     return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
@@ -848,10 +848,7 @@ def read_instance(path, base: Optional[Base] = None) -> Instance:
     conclusion_text = None
     base_ref = None
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in boolfn.content_lines(fh):
             key, sep, value = line.partition(":")
             key, value = key.strip(), value.strip()
             if not sep or key not in ("base", "premise", "conclusion"):

@@ -15,6 +15,8 @@ with every free variable zero.
 from dataclasses import dataclass
 from typing import Optional
 
+from .boolfn import content_lines
+
 
 @dataclass(frozen=True)
 class Gf2System:
@@ -61,9 +63,7 @@ def solve(system: Gf2System) -> Optional[tuple]:
 def read_system(path) -> Gf2System:
     """Read `m n` followed by m rows of coefficient bits, a space, and a rhs bit."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    entries = [(k + 1, ln.strip()) for k, ln in enumerate(lines)]
-    entries = [(no, ln) for no, ln in entries if ln and not ln.startswith("#")]
+        entries = list(content_lines(fh.read().splitlines()))
     if not entries:
         raise ValueError(f"{path}: missing 'm n' header")
     head_no, head = entries[0]

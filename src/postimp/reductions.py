@@ -9,7 +9,7 @@ the exhaustive decider.
 import re
 from dataclasses import dataclass
 
-from .boolfn import AND2, MAJ3, NOT, OR2, XOR3
+from .boolfn import AND2, MAJ3, NOT, OR2, XOR3, content_lines
 from .formula import App, Base, Formula, Instance, Var
 from .gf2 import Gf2System
 
@@ -71,10 +71,7 @@ class DnfInput:
 def parse_dnf(text: str) -> DnfInput:
     """One term per line of space-separated literals `x3` / `-x3`."""
     terms = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(text.splitlines()):
         term = []
         for token in line.split():
             m = _LITERAL_RE.fullmatch(token)
@@ -105,15 +102,24 @@ def _balanced(nodes, combine):
     return level[0]
 
 
-def _check_usable(dnf: DnfInput) -> None:
-    # a term always mentions a literal, so nonempty terms imply num_vars >= 1
-    if not dnf.terms:
-        raise ValueError("the DNF has no satisfiable terms, nothing to reduce")
-
-
 def _term_leaves(term):
     lits = sorted(term, key=lambda l: (abs(l), l < 0))
     return [Var(f"x{l}") if l > 0 else Var(f"y{-l}") for l in lits]
+
+
+def _dnf_trees(dnf: DnfInput, conj, disj):
+    """The balanced `tie` of every (x_i or y_i) and the balanced `rewritten`
+    DNF, with -x_i read as y_i, built by the given `and` and `or`."""
+    # a term always mentions a literal, so nonempty terms imply num_vars >= 1
+    if not dnf.terms:
+        raise ValueError("the DNF has no satisfiable terms, nothing to reduce")
+    tie = _balanced(
+        [disj(Var(f"x{i}"), Var(f"y{i}")) for i in range(1, dnf.num_vars + 1)], conj
+    )
+    rewritten = _balanced(
+        [_balanced(_term_leaves(term), conj) for term in dnf.terms], disj
+    )
+    return tie, rewritten
 
 
 def reduce_tautdnf_monotone(dnf: DnfInput) -> Instance:
@@ -123,14 +129,8 @@ def reduce_tautdnf_monotone(dnf: DnfInput) -> Instance:
     with (x_i or y_i), so the rewritten DNF is implied exactly when the
     original was a tautology.
     """
-    _check_usable(dnf)
-    conj = lambda a, b: App("and", (a, b))
-    disj = lambda a, b: App("or", (a, b))
-    tie = _balanced(
-        [disj(Var(f"x{i}"), Var(f"y{i}")) for i in range(1, dnf.num_vars + 1)], conj
-    )
-    rewritten = _balanced(
-        [_balanced(_term_leaves(term), conj) for term in dnf.terms], disj
+    tie, rewritten = _dnf_trees(
+        dnf, lambda a, b: App("and", (a, b)), lambda a, b: App("or", (a, b))
     )
     return Instance.build(
         MONOTONE_BASE,
@@ -148,15 +148,9 @@ def reduce_tautdnf_d2(dnf: DnfInput) -> Instance:
     both sides with majority applications preserves the answer.  All chains
     are balanced, keeping the trees logarithmically deep.
     """
-    _check_usable(dnf)
     t, f = Var("t"), Var("f")
-    conj = lambda a, b: App("maj", (a, b, f))
-    disj = lambda a, b: App("maj", (a, b, t))
-    tie = _balanced(
-        [disj(Var(f"x{i}"), Var(f"y{i}")) for i in range(1, dnf.num_vars + 1)], conj
-    )
-    rewritten = _balanced(
-        [_balanced(_term_leaves(term), conj) for term in dnf.terms], disj
+    tie, rewritten = _dnf_trees(
+        dnf, lambda a, b: App("maj", (a, b, f)), lambda a, b: App("maj", (a, b, t))
     )
     premise = App("maj", (tie, t, f))
     conclusion = App("maj", (App("maj", (tie, rewritten, f)), t, f))

@@ -20,14 +20,10 @@ from postimp.boolfn import (
     ArityError,
     BooleanFunction,
     dual,
-    is_c_reproducing,
-    is_conjunction,
-    is_disjunction,
-    is_linear,
     is_monotone,
     is_self_dual,
+    profile,
     read_functions,
-    relevant_variables,
     separation_degree,
     write_functions,
 )
@@ -59,9 +55,9 @@ def test_table_bit_order():
 
 
 def test_reproducing():
-    assert is_c_reproducing(AND2, 0)
-    assert is_c_reproducing(XOR3, 0) and is_c_reproducing(XOR3, 1)
-    assert not is_c_reproducing(NOT, 0)
+    assert profile(AND2).c0 == 0
+    assert profile(XOR3).c0 == 0 and profile(XOR3).c1 == 1
+    assert profile(NOT).c0 == 1
 
 
 def test_monotone():
@@ -88,18 +84,20 @@ def test_separating():
 
 
 def test_relevant_variables():
-    assert relevant_variables(BooleanFunction.from_bits("p1", "01010101")) == {1}
-    assert relevant_variables(XOR3) == {1, 2, 3}
-    assert relevant_variables(BooleanFunction.from_bits("t2", "1111")) == frozenset()
+    assert profile(BooleanFunction.from_bits("p1", "01010101")).relevant == 0b001
+    assert profile(XOR3).relevant == 0b111
+    assert profile(BooleanFunction.from_bits("t2", "1111")).relevant == 0
+    assert profile(NOT).unary and not profile(XOR2).unary
 
 
 def test_normal_form_examples():
-    assert is_linear(XOR3) and is_linear(NOT) and is_linear(TOP)
-    assert is_disjunction(OR2) and is_disjunction(TOP) and is_disjunction(BOT)
-    assert not is_linear(OR2)
-    assert not is_disjunction(NOT) and not is_conjunction(NOT)
-    assert is_conjunction(AND2) and not is_disjunction(AND2)
-    assert not is_linear(MAJ3) and not is_disjunction(MAJ3) and not is_conjunction(MAJ3)
+    assert profile(XOR3).linear and profile(NOT).linear and profile(TOP).linear
+    assert profile(OR2).disjunction and profile(TOP).disjunction and profile(BOT).disjunction
+    assert not profile(OR2).linear
+    assert not profile(NOT).disjunction and not profile(NOT).conjunction
+    assert profile(AND2).conjunction and not profile(AND2).disjunction
+    maj = profile(MAJ3)
+    assert not maj.linear and not maj.disjunction and not maj.conjunction
 
 
 # ---- independent re-derivations for the exhaustive sweep ----
@@ -186,20 +184,25 @@ def _search_conjunction(f):
 def test_exhaustive_property_sweep(arity):
     for table in range(1 << (1 << arity)):
         f = BooleanFunction("f", arity, table)
+        p = profile(f)
         assert is_monotone(f) == _slow_monotone(f)
         assert is_self_dual(f) == _slow_self_dual(f)
+        assert p.c0 == table_bit(f, (0,) * arity)
+        assert p.c1 == table_bit(f, (1,) * arity)
         for c in (0, 1):
-            assert is_c_reproducing(f, c) == (table_bit(f, (c,) * arity) == c)
             assert separation_degree(f, c) == _slow_separation_degree(f, c)
-        assert relevant_variables(f) == _slow_relevant(f)
+        relevant = _slow_relevant(f)
+        assert p.relevant == sum(1 << (i - 1) for i in relevant)
+        assert p.unary == (len(relevant) <= 1)
 
 
 def _assert_predicates_match_search(f):
-    assert is_linear(f) == _search_linear(f)
-    assert is_disjunction(f) == _search_disjunction(f)
-    assert is_conjunction(f) == _search_conjunction(f)
-    if is_linear(f) and is_disjunction(f):
-        assert len(relevant_variables(f)) <= 1
+    p = profile(f)
+    assert p.linear == _search_linear(f)
+    assert p.disjunction == _search_disjunction(f)
+    assert p.conjunction == _search_conjunction(f)
+    if p.linear and p.disjunction:
+        assert p.unary
 
 
 @pytest.mark.parametrize("arity", [0, 1, 2, 3])
@@ -250,24 +253,24 @@ def test_wide_predicates_and_single_row_flips():
     or16 = full ^ 1
     and16 = 1 << top
     members = [
-        (is_linear, xor16, lambda r: False),
-        (is_linear, xor16 ^ full, lambda r: False),  # the complement, c0 = 1
-        (is_disjunction, or16, lambda r: r.bit_count() <= 1),
-        (is_disjunction, full, lambda r: r == 0),  # or16 with the constant 1
-        (is_conjunction, and16, lambda r: (top ^ r).bit_count() <= 1),
-        (is_conjunction, 0, lambda r: r == top),  # and16 with the constant 0
+        ("linear", xor16, lambda r: False),
+        ("linear", xor16 ^ full, lambda r: False),  # the complement, c0 = 1
+        ("disjunction", or16, lambda r: r.bit_count() <= 1),
+        ("disjunction", full, lambda r: r == 0),  # or16 with the constant 1
+        ("conjunction", and16, lambda r: (top ^ r).bit_count() <= 1),
+        ("conjunction", 0, lambda r: r == top),  # and16 with the constant 0
     ]
     rng = random.Random("wide-flips")
     flips = [0, top] + [1 << i for i in range(arity)] + [top ^ 1 << i for i in range(arity)]
     flips += [rng.randrange(rows) for _ in range(64)]
     for member, table, stays in members:
-        assert member(BooleanFunction("f", arity, table))
+        assert getattr(profile(BooleanFunction("f", arity, table)), member)
         for r in flips:
-            assert member(BooleanFunction("f", arity, table ^ 1 << r)) == stays(r), (table, r)
+            assert getattr(profile(BooleanFunction("f", arity, table ^ 1 << r)), member) == stays(r), (table, r)
     # the complements of a disjunction and a conjunction lie in none of them
     for table in (or16 ^ full, and16 ^ full):
-        f = BooleanFunction("f", arity, table)
-        assert not is_linear(f) and not is_disjunction(f) and not is_conjunction(f)
+        p = profile(BooleanFunction("f", arity, table))
+        assert not p.linear and not p.disjunction and not p.conjunction
 
 
 @given(st.integers(0, 6).flatmap(lambda a: st.tuples(st.just(a), st.integers(0, (1 << (1 << a)) - 1))))
