@@ -13,10 +13,40 @@ carry what the formula extractors read off a formula.
 """
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 MAX_ARITY = 16
+
+
+class Record:
+    """Fields named by `_fields`, held in slots and set once by `__init__`
+    through `self._set`; no code is generated at import.  Two records are
+    equal when they share a class and a `_key()`, the field values by
+    default, and hash by it; attributes are read-only."""
+
+    __slots__ = _fields = ()
+    _set = object.__setattr__  # self._set(name, value), past __setattr__
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
 
 
 class ArityError(ValueError):
@@ -29,19 +59,19 @@ class ArityError(ValueError):
         self.actual = actual
 
 
-@dataclass(frozen=True, slots=True)
-class BooleanFunction:
-    name: str
-    arity: int
-    table: int
+class BooleanFunction(Record):
+    __slots__ = _fields = ("name", "arity", "table")
 
-    def __post_init__(self):
-        if not (self.name.isascii() and self.name.isidentifier()):
-            raise ValueError(f"function name must be an ASCII identifier, got {self.name!r}")
-        if not 0 <= self.arity <= MAX_ARITY:
-            raise ValueError(f"arity must lie in 0..{MAX_ARITY}, got {self.arity}")
-        if not 0 <= self.table < (1 << self.rows):
-            raise ValueError(f"table of {self.name} does not fit {self.rows} rows")
+    def __init__(self, name: str, arity: int, table: int):
+        if not (name.isascii() and name.isidentifier()):
+            raise ValueError(f"function name must be an ASCII identifier, got {name!r}")
+        if not 0 <= arity <= MAX_ARITY:
+            raise ValueError(f"arity must lie in 0..{MAX_ARITY}, got {arity}")
+        if not 0 <= table < (1 << (1 << arity)):
+            raise ValueError(f"table of {name} does not fit {1 << arity} rows")
+        self._set("name", name)
+        self._set("arity", arity)
+        self._set("table", table)
 
     @property
     def rows(self) -> int:
@@ -157,20 +187,20 @@ def profile(f: BooleanFunction) -> Profile:
     return Profile(c0, c1, relevant, xor == table, disjunction == table, conjunction == table)
 
 
-@dataclass(frozen=True)
-class _CoefficientForm:
+class _CoefficientForm(Record):
     """A constant c0 and one coefficient per variable, packed into `mask`.
 
     Bit i-1 of `mask` is the coefficient of x_i, for i in 1..n.
     """
 
-    c0: int
-    mask: int
-    n: int
+    __slots__ = _fields = ("c0", "mask", "n")
 
-    def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.n:
-            raise ValueError(f"coefficient mask {self.mask:#x} does not fit {self.n} variables")
+    def __init__(self, c0: int, mask: int, n: int):
+        if mask < 0 or mask >> n:
+            raise ValueError(f"coefficient mask {mask:#x} does not fit {n} variables")
+        self._set("c0", c0)
+        self._set("mask", mask)
+        self._set("n", n)
 
     @classmethod
     def from_flips(cls, c0: int, flips: int, n: int):
@@ -179,14 +209,16 @@ class _CoefficientForm:
         return cls(c0, flips, n)
 
 
-@dataclass(frozen=True)
 class LinearNormalForm(_CoefficientForm):
     """c0 xor c1*x1 xor ... xor cn*xn; with at most one ci set, the unary form."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class OrNormalForm(_CoefficientForm):
     """c0 or the disjunction of the variables with coefficient 1."""
+
+    __slots__ = ()
 
     @classmethod
     def from_flips(cls, c0: int, flips: int, n: int):
@@ -194,9 +226,10 @@ class OrNormalForm(_CoefficientForm):
         return cls(c0, (1 << n) - 1 if c0 else flips, n)
 
 
-@dataclass(frozen=True)
 class AndNormalForm(_CoefficientForm):
     """c0 and the conjunction of the variables with coefficient 1."""
+
+    __slots__ = ()
 
     @classmethod
     def from_flips(cls, c0: int, flips: int, n: int):

@@ -21,10 +21,9 @@ import enum
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 
 from . import boolfn
-from .boolfn import BooleanFunction, variable_word
+from .boolfn import BooleanFunction, Record, variable_word
 from .formula import Base
 
 MAX_CLOSURE_ARITY = 4
@@ -46,11 +45,13 @@ class Fragment(enum.Enum):
     TRIVIAL = "trivial"  # never classified: such a base lies in V; dispatch(override=...) takes it
 
 
-@dataclass(frozen=True)
-class ImpComplexity:
-    complexity: ImpClass
-    fragment: Fragment
-    witness: str
+class ImpComplexity(Record):
+    __slots__ = _fields = ("complexity", "fragment", "witness")
+
+    def __init__(self, complexity: ImpClass, fragment: Fragment, witness: str):
+        self._set("complexity", complexity)
+        self._set("fragment", fragment)
+        self._set("witness", witness)
 
 
 def classify_base(base: Base) -> ImpComplexity:

@@ -15,10 +15,9 @@ variables are built once per process and shared by every sweep.
 
 import enum
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
-from .boolfn import variable_word
+from .boolfn import Record, variable_word
 from .classify import Fragment, classify_base, classify_base_single_premise
 from .formula import (
     Formula,
@@ -53,12 +52,14 @@ class VariableCapError(RuntimeError):
         self.cap = cap
 
 
-@dataclass(frozen=True, slots=True)
-class Decision:
-    implies: bool
-    fragment_used: Fragment
-    detail: str
-    counterexample: Optional[dict] = None
+class Decision(Record):
+    __slots__ = _fields = ("implies", "fragment_used", "detail", "counterexample")
+
+    def __init__(self, implies: bool, fragment_used: Fragment, detail: str, counterexample: Optional[dict] = None):
+        self._set("implies", implies)
+        self._set("fragment_used", fragment_used)
+        self._set("detail", detail)
+        self._set("counterexample", counterexample)
 
 
 @functools.cache

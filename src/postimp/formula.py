@@ -29,15 +29,14 @@ variables' words once and then block numbers; the `Program` docstring
 states how block variables specialise kernels and skip steps.
 Compiling costs more than one walk, so only a caller that evaluates the
 same formulae on many blocks (the oracle above 2^16 assignments) compiles.
-The parser and all evaluation walks are iterative, so formula depth is
-bounded only by memory.
+The parser, every evaluation walk and tree `==` and `hash` are iterative,
+so formula depth is bounded only by memory.
 """
 
 import functools
 import math
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 from . import boolfn
@@ -47,6 +46,7 @@ from .boolfn import (
     BooleanFunction,
     LinearNormalForm,
     OrNormalForm,
+    Record,
     read_functions,
     variable_word,
     write_functions,
@@ -65,19 +65,20 @@ class FragmentError(ValueError):
     """A connective falls outside the fragment a decider requires."""
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(Record):
     """An ordered set of connectives with unique names."""
 
-    functions: tuple
+    __slots__ = ("functions", "_by_name")
+    _fields = ("functions",)
 
-    def __post_init__(self):
-        if not self.functions:
+    def __init__(self, functions: tuple):
+        if not functions:
             raise ValueError("a base needs at least one function")
-        names = [f.name for f in self.functions]
+        names = [f.name for f in functions]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate function names in base: {sorted(names)}")
-        object.__setattr__(self, "_by_name", {f.name: f for f in self.functions})
+        self._set("functions", functions)
+        self._set("_by_name", {f.name: f for f in functions})
 
     @classmethod
     def of(cls, *functions: BooleanFunction) -> "Base":
@@ -101,15 +102,24 @@ class Base:
         return tuple(f.name for f in self.functions)
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str):
+        self._set("name", name)
 
 
-@dataclass(frozen=True, slots=True)
-class App:
-    fn: str
-    args: tuple = ()
+class App(Record):
+    __slots__ = _fields = ("fn", "args")
+
+    def __init__(self, fn: str, args: tuple = ()):
+        self._set("fn", fn)
+        self._set("args", args)
+
+    def _key(self) -> tuple:
+        # pre-order (connective, arity) pairs and leaves fix the tree; walked
+        # on a stack, so a deep tree compares and hashes without recursion
+        return tuple([(node.fn, len(node.args)) if isinstance(node, App) else node for node in iter_nodes(self)])
 
 
 Node = Union[Var, App]
@@ -134,11 +144,13 @@ def connective_count(root: Node) -> int:
     return sum(1 for node in iter_nodes(root) if isinstance(node, App))
 
 
-@dataclass(frozen=True, slots=True)
-class Formula:
-    root: Node
-    base: Base
-    variables: tuple
+class Formula(Record):
+    __slots__ = _fields = ("root", "base", "variables")
+
+    def __init__(self, root: Node, base: Base, variables: tuple):
+        self._set("root", root)
+        self._set("base", base)
+        self._set("variables", variables)
 
     @classmethod
     def build(cls, root: Node, base: Base) -> "Formula":
@@ -333,8 +345,7 @@ _KEPT_WORDS = 64
 _BRANCHED = 4
 
 
-@dataclass(frozen=True, slots=True)
-class Program:
+class Program(Record):
     """Formulae over one base and one variable order, compiled into one
     straight-line program that is replayed block after block.
 
@@ -385,9 +396,12 @@ class Program:
     and replays every step in every block.
     """
 
-    variables: tuple
-    lanes: int
-    segments: tuple
+    __slots__ = _fields = ("variables", "lanes", "segments")
+
+    def __init__(self, variables: tuple, lanes: int, segments: tuple):
+        self._set("variables", variables)
+        self._set("lanes", lanes)
+        self._set("segments", segments)
 
     @classmethod
     def compile(cls, formulas, variables, lanes: int) -> "Program":
@@ -810,8 +824,7 @@ def extract_unary_nf(phi: Formula, variables=None) -> LinearNormalForm:
     return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
 
 
-@dataclass(frozen=True, slots=True)
-class Instance:
+class Instance(Record):
     """Premises and a conclusion over one base, with a joint variable index.
 
     `index` maps each name of `variables` to its position, built once per
@@ -819,14 +832,15 @@ class Instance:
     joint order without walking the whole order.
     """
 
-    base: Base
-    premises: tuple
-    conclusion: Formula
-    variables: tuple
-    index: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "premises", "conclusion", "variables", "index")
+    _fields = __slots__[:-1]
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {v: i for i, v in enumerate(self.variables)})
+    def __init__(self, base: Base, premises: tuple, conclusion: Formula, variables: tuple):
+        self._set("base", base)
+        self._set("premises", premises)
+        self._set("conclusion", conclusion)
+        self._set("variables", variables)
+        self._set("index", {v: i for i, v in enumerate(variables)})
 
     @classmethod
     def build(cls, base: Base, premises, conclusion: Formula) -> "Instance":

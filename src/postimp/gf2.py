@@ -12,25 +12,24 @@ lowest-column pivots gives: back-substituted from the highest pivot down,
 with every free variable zero.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .boolfn import content_lines
+from .boolfn import Record, content_lines
 
 
-@dataclass(frozen=True)
-class Gf2System:
-    n: int
-    rows: tuple  # of (mask, rhs) pairs
+class Gf2System(Record):
+    __slots__ = _fields = ("n", "rows")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, rows: tuple):  # rows of (mask, rhs) pairs
+        if n < 0:
             raise ValueError("number of unknowns must be nonnegative")
-        for mask, rhs in self.rows:
-            if not 0 <= mask < (1 << self.n):
-                raise ValueError(f"row mask {mask:#x} does not fit {self.n} unknowns")
+        for mask, rhs in rows:
+            if not 0 <= mask < (1 << n):
+                raise ValueError(f"row mask {mask:#x} does not fit {n} unknowns")
             if rhs not in (0, 1):
                 raise ValueError(f"right-hand side must be a bit, got {rhs!r}")
+        self._set("n", n)
+        self._set("rows", rows)
 
 
 def solve(system: Gf2System) -> Optional[tuple]:

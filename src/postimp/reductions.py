@@ -7,9 +7,8 @@ the exhaustive decider.
 """
 
 import re
-from dataclasses import dataclass
 
-from .boolfn import AND2, MAJ3, NOT, OR2, XOR3, content_lines
+from .boolfn import AND2, MAJ3, NOT, OR2, XOR3, Record, content_lines
 from .formula import App, Base, Formula, Instance, Var
 from .gf2 import Gf2System
 
@@ -21,16 +20,18 @@ NEGATION_BASE = Base.of(NOT)
 _LITERAL_RE = re.compile(r"(-?)x([1-9][0-9]*)$")
 
 
-@dataclass(frozen=True)
-class DnfInput:
+class DnfInput(Record):
     """A DNF over variables x1..x{num_vars}; terms are sets of signed indices.
 
     Terms containing a complementary literal pair are unsatisfiable disjuncts
     and are dropped during normalization (this preserves tautology).
     """
 
-    num_vars: int
-    terms: tuple
+    __slots__ = _fields = ("num_vars", "terms")
+
+    def __init__(self, num_vars: int, terms: tuple):
+        self._set("num_vars", num_vars)
+        self._set("terms", terms)
 
     @classmethod
     def build(cls, terms, num_vars=None) -> "DnfInput":

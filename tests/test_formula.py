@@ -237,8 +237,10 @@ def test_parse_deep_text_without_recursion():
     text = "not(" * depth + "x" + ")" * depth
     phi = parse_formula(text, BASIC)
     assert phi.variables == ("x",)
-    # dataclass __eq__ recurses, so the tree is checked through its text
     assert format_formula(phi) == text
+    again = parse_formula(text, BASIC)
+    assert phi == again and phi.root == again.root
+    assert hash(phi) == hash(again) and hash(phi.root) == hash(again.root)
 
 
 def test_parse_wide_balanced_text():
