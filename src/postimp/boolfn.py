@@ -9,11 +9,13 @@ Every Post-class test reads the whole table at once.  `variable_word` gives
 the column of each input, so monotonicity and relevance cost one shift and
 mask per input.  `profile` reads f's constants, its relevant inputs and its
 membership in L, V, E and N in one pass over the columns.  The coefficient forms
-carry what the formula extractors read off a formula.
+carry what the formula extractors read off a formula: its value at a base
+point and the single-variable flips that change it.
 """
 
 import math
-from typing import Iterable, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable
 
 MAX_ARITY = 16
 
@@ -148,17 +150,12 @@ def separation_degree(f: BooleanFunction, c: int) -> float:
     return math.inf
 
 
-class Profile(NamedTuple):
+class Profile(namedtuple("Profile", "c0 c1 relevant linear disjunction conjunction")):
     """What one pass over f's columns reads off: f on the all-0 row (`c0`)
     and on the all-1 row (`c1`), the mask of its relevant inputs (bit i for
     x_{i+1}), and its membership in Post's classes L, V and E."""
 
-    c0: int
-    c1: int
-    relevant: int
-    linear: bool
-    disjunction: bool
-    conjunction: bool
+    __slots__ = ()
 
     @property
     def unary(self) -> bool:
@@ -190,7 +187,9 @@ def profile(f: BooleanFunction) -> Profile:
 class _CoefficientForm(Record):
     """A constant c0 and one coefficient per variable, packed into `mask`.
 
-    Bit i-1 of `mask` is the coefficient of x_i, for i in 1..n.
+    Bit i-1 of `mask` is the coefficient of x_i, for i in 1..n: set exactly
+    when flipping x_i alone at the base point (all 0, or all 1 for an AND
+    form) changes the form's value c0 there.  So a constant form has mask 0.
     """
 
     __slots__ = _fields = ("c0", "mask", "n")
@@ -201,12 +200,6 @@ class _CoefficientForm(Record):
         self._set("c0", c0)
         self._set("mask", mask)
         self._set("n", n)
-
-    @classmethod
-    def from_flips(cls, c0: int, flips: int, n: int):
-        """The form whose value at the base point is c0 and whose value flips
-        exactly under the single-variable changes set in `flips`."""
-        return cls(c0, flips, n)
 
 
 class LinearNormalForm(_CoefficientForm):
@@ -220,21 +213,11 @@ class OrNormalForm(_CoefficientForm):
 
     __slots__ = ()
 
-    @classmethod
-    def from_flips(cls, c0: int, flips: int, n: int):
-        # flips are read at the all-0 point; a constant-true form keeps every coefficient
-        return cls(c0, (1 << n) - 1 if c0 else flips, n)
-
 
 class AndNormalForm(_CoefficientForm):
     """c0 and the conjunction of the variables with coefficient 1."""
 
     __slots__ = ()
-
-    @classmethod
-    def from_flips(cls, c0: int, flips: int, n: int):
-        # flips are read at the all-1 point; a constant-false form keeps every coefficient
-        return cls(c0, flips if c0 else (1 << n) - 1, n)
 
 
 def content_lines(lines):

@@ -15,12 +15,10 @@ variables are built once per process and shared by every sweep.
 
 import enum
 import functools
-from typing import Optional
 
 from .boolfn import Record, variable_word
 from .classify import Fragment, classify_base, classify_base_single_premise
 from .formula import (
-    Formula,
     Instance,
     Program,
     evaluate_block,
@@ -55,7 +53,7 @@ class VariableCapError(RuntimeError):
 class Decision(Record):
     __slots__ = _fields = ("implies", "fragment_used", "detail", "counterexample")
 
-    def __init__(self, implies: bool, fragment_used: Fragment, detail: str, counterexample: Optional[dict] = None):
+    def __init__(self, implies: bool, fragment_used: Fragment, detail: str, counterexample: dict | None = None):
         self._set("implies", implies)
         self._set("fragment_used", fragment_used)
         self._set("detail", detail)
@@ -242,17 +240,18 @@ def decide_unary_fragment(inst: Instance) -> Decision:
     )
 
 
-def decide_single_linear(premise: Formula, conclusion: Formula) -> Decision:
+def _require_single_premise(inst: Instance) -> None:
+    if len(inst.premises) != 1:
+        raise ValueError(f"single-premise mode needs exactly one premise, got {len(inst.premises)}")
+
+
+def decide_single_linear(inst: Instance) -> Decision:
     """Single linear premise: implication holds iff the premise is constant
     false, the conclusion is constant true, or both have identical parity
     coefficients."""
-    if conclusion.base != premise.base:
-        raise ValueError("all formulae of an instance must share its base")
-    index = {}
-    for v in (*premise.variables, *conclusion.variables):
-        index.setdefault(v, len(index))
-    left = extract_linear_nf(premise, index)
-    right = extract_linear_nf(conclusion, index)
+    _require_single_premise(inst)
+    left = extract_linear_nf(inst.premises[0], inst.index)
+    right = extract_linear_nf(inst.conclusion, inst.index)
     if left.c0 == 0 and not left.mask:
         return Decision(True, Fragment.LINEAR, "the premise is identically false")
     if right.c0 == 1 and not right.mask:
@@ -280,7 +279,7 @@ _SET_DECIDERS = {
 def dispatch(
     inst: Instance,
     mode: Mode = Mode.SET_PREMISE,
-    override: Optional[Fragment] = None,
+    override: Fragment | None = None,
     max_vars: int = DEFAULT_VARIABLE_CAP,
 ) -> Decision:
     """Route the instance to the decider its base classification selects.
@@ -288,10 +287,8 @@ def dispatch(
     `override` forces a particular decider (it errors if the instance falls
     outside that decider's fragment).
     """
-    if mode is Mode.SINGLE_PREMISE and len(inst.premises) != 1:
-        raise ValueError(
-            f"single-premise mode needs exactly one premise, got {len(inst.premises)}"
-        )
+    if mode is Mode.SINGLE_PREMISE:
+        _require_single_premise(inst)
     if override is not None:
         fragment = override
     elif mode is Mode.SINGLE_PREMISE:
@@ -301,5 +298,5 @@ def dispatch(
     if fragment is Fragment.GENERAL:
         return decide_oracle(inst, max_vars)
     if fragment is Fragment.LINEAR and mode is Mode.SINGLE_PREMISE:
-        return decide_single_linear(inst.premises[0], inst.conclusion)
+        return decide_single_linear(inst)
     return _SET_DECIDERS[fragment](inst)

@@ -11,7 +11,8 @@ disjunctive, conjunctive and unary) read their probe points off one
 bit-sliced `evaluate_block` pass, `_flip_scan`, over the formula's own
 variables: |vars(phi)|+1 points, however many variables the order holds.
 The flips are placed at their positions in the order and returned as an
-int mask; a unary formula gets the linear form with at most one
+int mask, which is the form's coefficient mask in all four kinds (a
+constant has none); a unary formula gets the linear form with at most one
 coefficient.  The one evaluation
 primitive is the connective kernel, `connective_plan(arity, table,
 constants)`: compiled once per truth table and set of block-constant
@@ -37,7 +38,7 @@ import functools
 import math
 import os
 import re
-from typing import Optional, Sequence, Union
+from collections.abc import Sequence
 
 from . import boolfn
 from .boolfn import (
@@ -122,7 +123,7 @@ class App(Record):
         return tuple([(node.fn, len(node.args)) if isinstance(node, App) else node for node in iter_nodes(self)])
 
 
-Node = Union[Var, App]
+Node = Var | App
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # a name, or one non-space character: punctuation, or one that starts no token
@@ -740,15 +741,12 @@ def _operand(form) -> str:
     return f"({text})" if cost else text
 
 
-def _used_functions(phi: Formula):
-    names = {node.fn for node in iter_nodes(phi.root) if isinstance(node, App)}
-    return [phi.base[name] for name in sorted(names)]
-
-
 def _require_fragment(phi: Formula, member: str, what: str) -> None:
-    for f in _used_functions(phi):
-        if not getattr(boolfn.profile(f), member):
-            raise FragmentError(f"connective {f.name!r} is not {what}")
+    """Refuse phi unless every connective it uses is in the class `member`
+    names; the alphabetically first offender is the one reported."""
+    for name in sorted({node.fn for node in iter_nodes(phi.root) if isinstance(node, App)}):
+        if not getattr(boolfn.profile(phi.base[name]), member):
+            raise FragmentError(f"connective {name!r} is not {what}")
 
 
 def _flip_scan(phi: Formula, variables, base_bit: int):
@@ -799,19 +797,19 @@ def extract_linear_nf(phi: Formula, variables=None) -> LinearNormalForm:
     call.
     """
     _require_fragment(phi, "linear", "linear")
-    return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
+    return LinearNormalForm(*_flip_scan(phi, variables, 0))
 
 
 def extract_or_nf(phi: Formula, variables=None) -> OrNormalForm:
     """Disjunction coefficients from the zero vector and the unit vectors."""
     _require_fragment(phi, "disjunction", "a disjunction")
-    return OrNormalForm.from_flips(*_flip_scan(phi, variables, 0))
+    return OrNormalForm(*_flip_scan(phi, variables, 0))
 
 
 def extract_and_nf(phi: Formula, variables=None) -> AndNormalForm:
     """Conjunction coefficients, dually, from the all-ones and co-unit vectors."""
     _require_fragment(phi, "conjunction", "a conjunction")
-    return AndNormalForm.from_flips(*_flip_scan(phi, variables, 1))
+    return AndNormalForm(*_flip_scan(phi, variables, 1))
 
 
 def extract_unary_nf(phi: Formula, variables=None) -> LinearNormalForm:
@@ -821,7 +819,7 @@ def extract_unary_nf(phi: Formula, variables=None) -> LinearNormalForm:
     such a formula is linear and its flips at the zero vector describe it.
     """
     _require_fragment(phi, "unary", "unary")
-    return LinearNormalForm.from_flips(*_flip_scan(phi, variables, 0))
+    return LinearNormalForm(*_flip_scan(phi, variables, 0))
 
 
 class Instance(Record):
@@ -852,7 +850,7 @@ class Instance(Record):
         return cls(base, prem, conclusion, tuple(variables))
 
 
-def read_instance(path, base: Optional[Base] = None) -> Instance:
+def read_instance(path, base: Base | None = None) -> Instance:
     """Read `premise:`/`conclusion:` lines, with an optional `base:` header.
 
     A `base:` path is resolved relative to the instance file's directory; a
@@ -900,7 +898,7 @@ def read_instance(path, base: Optional[Base] = None) -> Instance:
     return Instance.build(base, premises, conclusion)
 
 
-def write_instance(inst: Instance, path, base_ref: Optional[str] = None) -> None:
+def write_instance(inst: Instance, path, base_ref: str | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         if base_ref is not None:
             fh.write(f"base: {base_ref}\n")

@@ -12,8 +12,6 @@ lowest-column pivots gives: back-substituted from the highest pivot down,
 with every free variable zero.
 """
 
-from typing import Optional
-
 from .boolfn import Record, content_lines
 
 
@@ -32,7 +30,7 @@ class Gf2System(Record):
         self._set("rows", rows)
 
 
-def solve(system: Gf2System) -> Optional[tuple]:
+def solve(system: Gf2System) -> tuple | None:
     """One solution with all free variables zero, or None if inconsistent."""
     n = system.n
     top = 1 << n  # bit n of a row holds its right-hand side

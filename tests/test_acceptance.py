@@ -191,7 +191,7 @@ def test_criterion_3_fragment_oracle_agreement():
             for premise in pool:
                 for goal in pool:
                     instance = Instance.build(pool[0].base, (premise,), goal)
-                    fast = decide_single_linear(premise, goal)
+                    fast = decide_single_linear(instance)
                     assert fast.implies == naive_implies(instance)[0]
 
 
@@ -220,7 +220,7 @@ def test_criterion_4_single_linear_rule():
         for premise in forms:
             for goal in forms:
                 instance = Instance.build(LIN_CONST, (premise,), goal)
-                corrected = decide_single_linear(premise, goal).implies
+                corrected = decide_single_linear(instance).implies
                 truth = naive_implies(instance)[0]
                 assert corrected == truth
                 lnf = extract_linear_nf(premise, instance.index)
@@ -231,8 +231,11 @@ def test_criterion_4_single_linear_rule():
         assert published_disagreements, "expected the two-part rule to fail somewhere"
         # the concrete witness: x implies the constant-true conclusion
         witness = decide_single_linear(
-            _linear_formula(0, (1, 0, 0), names, LIN_CONST),
-            _linear_formula(1, (0, 0, 0), names, LIN_CONST),
+            Instance.build(
+                LIN_CONST,
+                (_linear_formula(0, (1, 0, 0), names, LIN_CONST),),
+                _linear_formula(1, (0, 0, 0), names, LIN_CONST),
+            )
         )
         assert witness.implies
         # without constants every form is 0- and 1-reproducing; rule still exact
@@ -240,7 +243,7 @@ def test_criterion_4_single_linear_rule():
         for premise in reps:
             for goal in reps:
                 instance = Instance.build(L2, (premise,), goal)
-                assert decide_single_linear(premise, goal).implies == naive_implies(instance)[0]
+                assert decide_single_linear(instance).implies == naive_implies(instance)[0]
 
 
 def _xor_node(nodes):
@@ -262,8 +265,8 @@ def test_wide_xor_chain_budget():
     chain = _xor_chain(names)
     shorter = _xor_chain(names[:-1])
     with budget("1600-variable xor chain, single premise", 1.0):
-        assert decide_single_linear(chain, chain).implies
-        assert not decide_single_linear(chain, shorter).implies
+        assert decide_single_linear(Instance.build(LIN_CONST, (chain,), chain)).implies
+        assert not decide_single_linear(Instance.build(LIN_CONST, (chain,), shorter)).implies
     with budget("1600-variable xor chain, premise set", 1.0):
         assert decide_linear(Instance.build(LIN_CONST, (chain,), chain)).implies
         refuted = decide_linear(Instance.build(LIN_CONST, (chain,), shorter))

@@ -56,6 +56,9 @@ def test_table_bit_order():
 
 def test_reproducing():
     assert profile(AND2).c0 == 0
+    # a profile is a plain tuple of its six fields, in this order
+    assert profile(AND2) == (0, 1, 0b11, False, False, True)
+    assert type(profile(AND2))._fields == ("c0", "c1", "relevant", "linear", "disjunction", "conjunction")
     assert profile(XOR3).c0 == 0 and profile(XOR3).c1 == 1
     assert profile(NOT).c0 == 1
 

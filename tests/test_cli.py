@@ -142,6 +142,19 @@ def test_decide_force_fragment(capsys, tmp_path, base_file):
     assert "not a disjunction" in err
 
 
+def test_force_fragment_names_the_alphabetically_first_offender(capsys, tmp_path):
+    # a pre-order walk meets `or` first; the refusal names `and`
+    base = tmp_path / "mixed.base"
+    base.write_text("xor 2 0110\nor 2 0111\nand 2 0001\n")
+    inst = tmp_path / "inst.txt"
+    inst.write_text(f"base: {base.name}\npremise: or(and(x, y), z)\nconclusion: x\n")
+    code, out, err = run(capsys, "decide", "--instance", str(inst), "--force-fragment", "linear")
+    assert (code, out, err) == (1, "", "error: connective 'and' is not linear\n")
+    premise = postimp.read_instance(inst).premises[0]
+    with pytest.raises(postimp.FragmentError, match="^connective 'and' is not linear$"):
+        postimp.extract_linear_nf(premise)
+
+
 def test_decide_cap(capsys, tmp_path, base_file):
     parts = "x0"
     for i in range(1, 26):
@@ -218,6 +231,23 @@ def test_reduce_mod2_word_argument(capsys, tmp_path):
     assert code == 0
     record = json.loads(out)
     assert record["implies"] is False and record["fragment_used"] == "linear"
+
+
+def test_reduce_refuses_a_dnf_over_the_variable_cap(capsys, tmp_path):
+    # refused once the terms are read, before any tree is built or file written
+    dnf = tmp_path / "huge.dnf"
+    dnf.write_text("x1 x5000000\n-x1\n")
+    outputs = ("--out-instance", str(tmp_path / "inst.txt"), "--out-base", str(tmp_path / "taut.base"))
+    for kind in ("tautdnf-monotone", "tautdnf-d2"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "reduce", kind, str(dnf), *outputs)
+        assert time.perf_counter() - started < 0.1
+        assert (code, out) == (1, "")
+        assert err == f"error: {dnf}: literal index 5000000 exceeds the cap of 32768 DNF variables\n"
+    assert not (tmp_path / "inst.txt").exists() and not (tmp_path / "taut.base").exists()
+    dnf.write_text("x1 x32000\n-x1\n")
+    code, out, _ = run(capsys, "reduce", "tautdnf-monotone", str(dnf), *outputs, "--format", "record")
+    assert code == 0 and json.loads(out)["variables"] == 64_000
 
 
 def test_reduce_requires_input_file(capsys, tmp_path):

@@ -157,17 +157,27 @@ def test_unary_dispatch_with_a_fictive_argument():
 
 
 def test_single_linear_decider():
-    phi = parse_formula("xor3(x, y, z)", LIN)
-    assert decide_single_linear(phi, phi).implies
-    assert not decide_single_linear(phi, parse_formula("xor(x, y)", LIN)).implies
-    assert decide_single_linear(parse_formula("xor(x, x)", LIN), parse_formula("y", LIN)).implies
+    def single(premise, conclusion):
+        return decide_single_linear(Instance.build(LIN, (parse_formula(premise, LIN),), parse_formula(conclusion, LIN)))
+
+    assert single("xor3(x, y, z)", "xor3(x, y, z)").implies
+    assert not single("xor3(x, y, z)", "xor(x, y)").implies
+    assert single("xor(x, x)", "y").implies
     # the constant-true conclusion needs its own rule branch
-    assert decide_single_linear(parse_formula("x", LIN), parse_formula("top()", LIN)).implies
+    assert single("x", "top()").implies
     # the joint order puts the premise's variables first, then the conclusion's
-    swapped = parse_formula("xor(y, x)", LIN)
-    assert decide_single_linear(swapped, parse_formula("xor(z, xor(x, xor(y, z)))", LIN)).implies
+    assert single("xor(y, x)", "xor(z, xor(x, xor(y, z)))").implies
     with pytest.raises(ValueError, match="must share its base"):
-        decide_single_linear(parse_formula("x", LIN), parse_formula("x", Base.of(XOR2, TOP)))
+        Instance.build(LIN, (parse_formula("x", LIN),), parse_formula("x", Base.of(XOR2, TOP)))
+    # any other premise count is refused with dispatch's message
+    x = parse_formula("x", LIN)
+    for premises in ((), (x, x)):
+        inst = Instance.build(LIN, premises, x)
+        with pytest.raises(ValueError, match=f"needs exactly one premise, got {len(premises)}") as caught:
+            decide_single_linear(inst)
+        with pytest.raises(ValueError) as by_dispatch:
+            dispatch(inst, Mode.SINGLE_PREMISE)
+        assert str(caught.value) == str(by_dispatch.value)
 
 
 def both_directions(base, phi, psi):
@@ -261,9 +271,9 @@ def test_single_linear_exhaustive_micro():
     for premise in reps:
         for goal in reps:
             instance = Instance.build(LIN, (premise,), goal)
-            assert decide_single_linear(premise, goal).implies == naive_implies(instance)[0]
+            assert decide_single_linear(instance).implies == naive_implies(instance)[0]
             # single-premise linear rule, the equation system, and the oracle agree
-            assert decide_single_linear(premise, goal).implies == decide_linear(instance).implies
+            assert decide_single_linear(instance).implies == decide_linear(instance).implies
 
 
 def test_adding_premises_is_monotone():

@@ -854,20 +854,15 @@ def test_extraction_reconstructs_truth_table(base, extract):
 
 
 def _scalar_flip_reference(phi, order, kind):
-    # the extraction rule spelled out with n+1 scalar evaluations
+    # the extraction rule spelled out with n+1 scalar evaluations: in every
+    # kind a coefficient is a single-variable flip at the base point
     point = dict.fromkeys(order, 1 if kind == "and" else 0)
     c0 = naive_value(phi.root, phi.base, point)
     coeffs = []
     for name in order:
         point[name] ^= 1
-        flipped = naive_value(phi.root, phi.base, point)
+        coeffs.append(naive_value(phi.root, phi.base, point) ^ c0)
         point[name] ^= 1
-        if kind in ("linear", "unary"):
-            coeffs.append(flipped ^ c0)
-        elif kind == "or":
-            coeffs.append(0 if c0 == 0 and flipped == 0 else 1)
-        else:
-            coeffs.append(0 if c0 == 1 and flipped == 1 else 1)
     return c0, tuple(coeffs)
 
 
@@ -913,10 +908,8 @@ def test_extraction_beyond_one_word(base, extract, kind):
         nf = extract(phi, {name: i for i, name in enumerate(order)})
         c0, coeffs = _scalar_flip_reference(phi, order, kind)
         assert (nf.c0, nf.mask, nf.n) == (c0, sum(c << i for i, c in enumerate(coeffs)), len(order))
-        constant_form = {"linear": False, "unary": False, "or": c0 == 1, "and": c0 == 0}[kind]
-        if not constant_form:
-            absent = [i for i, name in enumerate(order) if name not in phi.variables]
-            assert absent and not any(nf.mask >> i & 1 for i in absent)
+        absent = [i for i, name in enumerate(order) if name not in phi.variables]
+        assert absent and not any(nf.mask >> i & 1 for i in absent)
         for _ in range(12):
             sigma = [rng.getrandbits(1) for _ in order]
             assert form_value(nf, sigma) == naive_value(phi.root, base, dict(zip(order, sigma)))
@@ -979,13 +972,13 @@ def test_extraction_over_own_variables_matches_full_order_scan(kind, data):
     phi = Formula.build(data.draw(_fragment_node(base)), base)
     extra = data.draw(st.lists(st.sampled_from(_EXTRA_NAMES), unique=True, max_size=8))
     order = data.draw(st.permutations(list(dict.fromkeys((*phi.variables, *extra)))))
-    expected = form.from_flips(*_full_order_scan(phi, order, base_bit))
+    expected = form(*_full_order_scan(phi, order, base_bit))
     assert extract(phi, {name: i for i, name in enumerate(order)}) == expected
     # a premise ahead of phi moves phi's variables in the instance's index
     lead = Formula.build(Var(extra[0]) if extra else App("top"), base)
     inst = Instance.build(base, [lead], phi)
-    assert extract(phi, inst.index) == form.from_flips(*_full_order_scan(phi, inst.variables, base_bit))
-    assert extract(phi) == form.from_flips(*_full_order_scan(phi, phi.variables, base_bit))
+    assert extract(phi, inst.index) == form(*_full_order_scan(phi, inst.variables, base_bit))
+    assert extract(phi) == form(*_full_order_scan(phi, phi.variables, base_bit))
 
 
 @pytest.mark.parametrize("kind", sorted(_EXTRACTORS))

@@ -169,3 +169,10 @@ def test_package_import_generates_no_record_code():
     assert "dataclasses" not in added and "inspect" not in added
     modules = {"boolfn", "formula", "classify", "gf2", "decide", "reductions"}
     assert {m for m in package if m.startswith("postimp")} == {"postimp", *(f"postimp.{m}" for m in modules)}
+    # without `site`, which may load typing first, the package loads none of
+    # typing, dataclasses and inspect itself
+    probe = "import json, sys, postimp, postimp.cli; print(json.dumps(sorted(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True, text=True, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert "postimp.cli" in loaded
+    assert not loaded & {"typing", "dataclasses", "inspect"}

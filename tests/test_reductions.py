@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,6 +17,7 @@ from postimp.formula import (
 from postimp.formula import App
 from postimp.gf2 import Gf2System, solve
 from postimp.reductions import (
+    MAX_DNF_VARIABLES,
     DnfInput,
     parse_dnf,
     read_dnf,
@@ -71,6 +73,20 @@ def test_monotone_reduction_examples():
 def test_majority_reduction_examples():
     assert decide_oracle(reduce_tautdnf_d2(DnfInput.build([[1], [-1]]))).implies
     assert not decide_oracle(reduce_tautdnf_d2(DnfInput.build([[1]]))).implies
+
+
+def test_dnf_variable_cap():
+    # the work follows the largest index: x5000000 is refused before any tree
+    # is built, whether the index comes from a literal or from num_vars
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"literal index 5000000 exceeds the cap of {MAX_DNF_VARIABLES} DNF"):
+        parse_dnf("x1 x5000000\n-x1\n")
+    assert time.perf_counter() - started < 0.1
+    with pytest.raises(ValueError, match=f"num_vars {MAX_DNF_VARIABLES + 1} exceeds the cap of {MAX_DNF_VARIABLES} DNF"):
+        DnfInput.build([[1]], MAX_DNF_VARIABLES + 1)
+    assert DnfInput.build([[1], [-MAX_DNF_VARIABLES]]).num_vars == MAX_DNF_VARIABLES
+    wide = reduce_tautdnf_monotone(parse_dnf("x1 x32000\n-x1\n"))
+    assert len(wide.variables) == 64_000
 
 
 def test_reductions_reject_degenerate_dnf():
