@@ -11,21 +11,22 @@ import os
 import sys
 import time
 
+from . import reductions
 from .classify import Fragment, classify_base, classify_base_single_premise, closure_fixed_arity
 from .decide import DEFAULT_VARIABLE_CAP, Mode, VariableCapError, dispatch
 from .formula import Base, read_instance, write_instance
 from .gf2 import read_system
-from .reductions import (
-    read_dnf,
-    reduce_linsys_to_imp,
-    reduce_mod2_single_linear,
-    reduce_mod2_unary,
-    reduce_tautdnf_d2,
-    reduce_tautdnf_monotone,
-)
 from .selftest import MAX_CASES, run_selftest
 
-REDUCTION_KINDS = ("tautdnf-monotone", "tautdnf-d2", "linsys", "mod2-unary", "mod2-single")
+# `reduce` kind -> (the file it needs, or None when its input is the parity
+# word itself, that input's reader, the reduction); the keys are the choices
+REDUCTIONS = {
+    "tautdnf-monotone": ("a DNF file", reductions.read_dnf, reductions.reduce_tautdnf_monotone),
+    "tautdnf-d2": ("a DNF file", reductions.read_dnf, reductions.reduce_tautdnf_d2),
+    "linsys": ("a linear-system file", read_system, reductions.reduce_linsys_to_imp),
+    "mod2-unary": (None, str, reductions.reduce_mod2_unary),
+    "mod2-single": (None, str, reductions.reduce_mod2_single_linear),
+}
 
 
 def run_classify(args: argparse.Namespace):
@@ -70,19 +71,10 @@ def run_decide(args: argparse.Namespace):
 
 
 def run_reduce(args: argparse.Namespace):
-    if args.kind in ("tautdnf-monotone", "tautdnf-d2"):
-        if not args.input:
-            raise ValueError(f"reduce {args.kind} needs a DNF file argument")
-        dnf = read_dnf(args.input)
-        inst = reduce_tautdnf_monotone(dnf) if args.kind == "tautdnf-monotone" else reduce_tautdnf_d2(dnf)
-    elif args.kind == "linsys":
-        if not args.input:
-            raise ValueError("reduce linsys needs a linear-system file argument")
-        inst, _goal = reduce_linsys_to_imp(read_system(args.input))
-    elif args.kind == "mod2-unary":
-        inst = reduce_mod2_unary(args.input)
-    else:
-        inst = reduce_mod2_single_linear(args.input)
+    needs, read, reduction = REDUCTIONS[args.kind]
+    if needs and not args.input:
+        raise ValueError(f"reduce {args.kind} needs {needs} argument")
+    inst = reduction(read(args.input))
     inst.base.save(args.out_base)
     ref = os.path.relpath(
         os.path.abspath(args.out_base), os.path.dirname(os.path.abspath(args.out_instance))
@@ -161,7 +153,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_decide.set_defaults(run=run_decide)
 
     p_reduce = sub.add_parser("reduce", help="emit a reduction instance plus its base file")
-    p_reduce.add_argument("kind", choices=REDUCTION_KINDS)
+    p_reduce.add_argument("kind", choices=tuple(REDUCTIONS))
     p_reduce.add_argument(
         "input",
         nargs="?",

@@ -390,11 +390,11 @@ class Program(Record):
     persist more than the bound, every step runs in every evaluation.  So no replay applies
     more kernels than one that ran every step over block variables in
     every block.  A word of 2^16 lanes takes 8 KiB, so persisting words
-    add at most 512 KiB to a sweep's live words.  The benchmark's
-    general-sweep instances of 20 variables persist 21 to 60 words, with
-    all four block variables tracked or all but the first; a 22-variable
-    reduction of a 600-term DNF would persist 203 words with none tracked,
-    and replays every step in every block.
+    add at most 512 KiB to a sweep's live words.  Over seeds 1-10, the
+    benchmark's general-sweep instances of 20 variables persist 18 to 64
+    words, with all four block variables tracked or all but the first; a
+    22-variable reduction of a 600-term DNF would persist 203 words with
+    none tracked, and replays every step in every block.
     """
 
     __slots__ = _fields = ("variables", "lanes", "segments")

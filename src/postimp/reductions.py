@@ -20,24 +20,25 @@ NEGATION_BASE = Base.of(NOT)
 # this cap the worst 3-literal DNF reduces in 0.41 s (tautdnf-d2, CPython 3.11)
 MAX_DNF_VARIABLES = 1 << 15
 
+# int() converts a string of at most this many digits whatever
+# sys.set_int_max_str_digits holds; a longer index is refused by its length
+_MAX_INDEX_DIGITS = 640
 _LITERAL_RE = re.compile(r"(-?)x([1-9][0-9]*)$")
 
 
 class DnfInput(Record):
     """A DNF over variables x1..x{num_vars}; terms are sets of signed indices.
 
-    Terms containing a complementary literal pair are unsatisfiable disjuncts
-    and are dropped during normalization (this preserves tautology).
+    However it is built, the input is checked: every term needs a literal,
+    every literal is a nonzero int, and no index exceeds `num_vars` (the
+    widest index when it is None) or `MAX_DNF_VARIABLES`.  Terms containing
+    a complementary literal pair are unsatisfiable disjuncts and are dropped
+    (this preserves tautology).
     """
 
     __slots__ = _fields = ("num_vars", "terms")
 
-    def __init__(self, num_vars: int, terms: tuple):
-        self._set("num_vars", num_vars)
-        self._set("terms", terms)
-
-    @classmethod
-    def build(cls, terms, num_vars=None) -> "DnfInput":
+    def __init__(self, num_vars: int | None, terms):
         normalized = []
         widest = 0
         for term in terms:
@@ -57,7 +58,12 @@ class DnfInput(Record):
         if num_vars > MAX_DNF_VARIABLES:
             what = f"literal index {widest}" if num_vars == widest else f"num_vars {num_vars}"
             raise ValueError(f"{what} exceeds the cap of {MAX_DNF_VARIABLES} DNF variables")
-        return cls(num_vars, tuple(normalized))
+        self._set("num_vars", num_vars)
+        self._set("terms", tuple(normalized))
+
+    @classmethod
+    def build(cls, terms, num_vars=None) -> "DnfInput":
+        return cls(num_vars, terms)
 
     def is_tautology(self) -> bool:
         """Direct check by enumerating all assignments."""
@@ -84,7 +90,11 @@ def parse_dnf(text: str) -> DnfInput:
             m = _LITERAL_RE.fullmatch(token)
             if not m:
                 raise ValueError(f"line {lineno}: bad literal {token!r} (expected x3 or -x3)")
-            index = int(m.group(2))
+            digits = m.group(2)
+            if len(digits) > _MAX_INDEX_DIGITS:
+                what = f"a literal index of {len(digits)} digits"
+                raise ValueError(f"line {lineno}: {what} exceeds the cap of {MAX_DNF_VARIABLES} DNF variables")
+            index = int(digits)
             term.append(-index if m.group(1) else index)
         terms.append(term)
     return DnfInput.build(terms)
@@ -107,6 +117,15 @@ def _balanced(nodes, combine):
             nxt.append(level[-1])
         level = nxt
     return level[0]
+
+
+def _instance(base, premises, conclusion) -> Instance:
+    """The instance over `base` of the premise trees and the conclusion tree."""
+    return Instance.build(
+        base,
+        tuple([Formula.build(node, base) for node in premises]),
+        Formula.build(conclusion, base),
+    )
 
 
 def _term_leaves(term):
@@ -139,11 +158,7 @@ def reduce_tautdnf_monotone(dnf: DnfInput) -> Instance:
     tie, rewritten = _dnf_trees(
         dnf, lambda a, b: App("and", (a, b)), lambda a, b: App("or", (a, b))
     )
-    return Instance.build(
-        MONOTONE_BASE,
-        (Formula.build(tie, MONOTONE_BASE),),
-        Formula.build(rewritten, MONOTONE_BASE),
-    )
+    return _instance(MONOTONE_BASE, (tie,), rewritten)
 
 
 def reduce_tautdnf_d2(dnf: DnfInput) -> Instance:
@@ -161,11 +176,7 @@ def reduce_tautdnf_d2(dnf: DnfInput) -> Instance:
     )
     premise = App("maj", (tie, t, f))
     conclusion = App("maj", (App("maj", (tie, rewritten, f)), t, f))
-    return Instance.build(
-        MAJORITY_BASE,
-        (Formula.build(premise, MAJORITY_BASE),),
-        Formula.build(conclusion, MAJORITY_BASE),
-    )
+    return _instance(MAJORITY_BASE, (premise,), conclusion)
 
 
 def _xor_fold(names):
@@ -176,14 +187,13 @@ def _xor_fold(names):
     return node
 
 
-def reduce_linsys_to_imp(system: Gf2System):
+def reduce_linsys_to_imp(system: Gf2System) -> Instance:
     """A parity system as implication over the ternary xor.
 
     Each row becomes a formula asserting its parity, with the constant true
     replaced by a fresh variable t (premised to hold) and rows over an even
     number of variables padded with a fresh variable f.  The system is
-    solvable exactly when the premises do not imply f.  Returns the instance
-    and the distinguished goal variable name.
+    solvable exactly when the premises do not imply f.
     """
     if not system.rows:
         raise ValueError("the linear system has no rows, nothing to reduce")
@@ -196,12 +206,7 @@ def reduce_linsys_to_imp(system: Gf2System):
             names.append("f")
         premises.append(_xor_fold(names))
     premises.append(Var("t"))
-    inst = Instance.build(
-        TERNARY_XOR_BASE,
-        tuple(Formula.build(node, TERNARY_XOR_BASE) for node in premises),
-        Formula.build(Var("f"), TERNARY_XOR_BASE),
-    )
-    return inst, "f"
+    return _instance(TERNARY_XOR_BASE, premises, Var("f"))
 
 
 def _check_word(word: str) -> None:
@@ -219,11 +224,7 @@ def reduce_mod2_unary(word: str) -> Instance:
     for ch in reversed(word):
         if ch == "1":
             node = App("not", (node,))
-    return Instance.build(
-        NEGATION_BASE,
-        (Formula.build(Var("t"), NEGATION_BASE),),
-        Formula.build(node, NEGATION_BASE),
-    )
+    return _instance(NEGATION_BASE, (Var("t"),), node)
 
 
 def reduce_mod2_single_linear(word: str) -> Instance:
@@ -235,8 +236,4 @@ def reduce_mod2_single_linear(word: str) -> Instance:
     for ch in reversed(word):
         if ch == "1":
             node = App("xor3", (Var("t"), Var("f"), node))
-    return Instance.build(
-        TERNARY_XOR_BASE,
-        (Formula.build(Var("t"), TERNARY_XOR_BASE),),
-        Formula.build(node, TERNARY_XOR_BASE),
-    )
+    return _instance(TERNARY_XOR_BASE, (Var("t"),), node)

@@ -417,7 +417,7 @@ def test_criterion_5_reduction_correctness():
                 (rng.randrange(1 << n), rng.randint(0, 1)) for _ in range(rng.randint(1, 6))
             )
             system = Gf2System(n, rows)
-            instance, _goal = reduce_linsys_to_imp(system)
+            instance = reduce_linsys_to_imp(system)
             assert decide_oracle(instance).implies == (solve(system) is None)
         for length in range(13):
             for bits in itertools.product("01", repeat=length):

@@ -250,6 +250,22 @@ def test_reduce_refuses_a_dnf_over_the_variable_cap(capsys, tmp_path):
     assert code == 0 and json.loads(out)["variables"] == 64_000
 
 
+def test_reduce_refuses_a_long_literal_by_its_length(capsys, tmp_path):
+    # 5 000 digits are refused before int() reads them: one error line that
+    # names the line and the cap, with no interpreter advice and no echo
+    dnf = tmp_path / "digits.dnf"
+    dnf.write_text("x1 x" + "9" * 5000 + "\n-x1\n")
+    outputs = ("--out-instance", str(tmp_path / "inst.txt"), "--out-base", str(tmp_path / "taut.base"))
+    for kind in ("tautdnf-monotone", "tautdnf-d2"):
+        started = time.perf_counter()
+        code, out, err = run(capsys, "reduce", kind, str(dnf), *outputs)
+        assert time.perf_counter() - started < 0.1
+        assert (code, out) == (1, "")
+        assert err == f"error: {dnf}: line 1: a literal index of 5000 digits exceeds the cap of 32768 DNF variables\n"
+        assert "set_int_max_str_digits" not in err
+    assert not (tmp_path / "inst.txt").exists() and not (tmp_path / "taut.base").exists()
+
+
 def test_reduce_requires_input_file(capsys, tmp_path):
     code, _, err = run(capsys, "reduce", "tautdnf-d2")
     assert code == 1 and "needs a DNF file" in err

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -89,6 +90,66 @@ def test_dnf_variable_cap():
     assert len(wide.variables) == 64_000
 
 
+def test_directly_built_dnf_is_capped():
+    # the constructor is the checked path, so an API caller that skips
+    # `build` is refused before any tree is built, as parse_dnf is
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^num_vars 70000 exceeds the cap of {MAX_DNF_VARIABLES} DNF variables$"):
+        DnfInput(70000, (frozenset({1}),))
+    assert time.perf_counter() - started < 0.1
+
+
+_OVER = MAX_DNF_VARIABLES + 1
+
+
+@pytest.mark.parametrize(
+    "terms, num_vars, message",
+    [
+        ([[1], []], None, "a DNF term needs at least one literal"),
+        ([[1, 0]], None, "literals are nonzero signed indices, got 0"),
+        ([[1], ["x2"]], None, "literals are nonzero signed indices, got 'x2'"),
+        ([[1, -3]], 2, "literal index 3 exceeds num_vars 2"),
+        ([[1, _OVER]], None, f"literal index {_OVER} exceeds the cap of {MAX_DNF_VARIABLES} DNF variables"),
+        ([[1]], _OVER, f"num_vars {_OVER} exceeds the cap of {MAX_DNF_VARIABLES} DNF variables"),
+        # normalization drops the complementary term, but its index still counts
+        ([[1], [_OVER, -_OVER]], None, f"literal index {_OVER} exceeds the cap of {MAX_DNF_VARIABLES} DNF variables"),
+    ],
+    ids=["empty-term", "zero", "non-integer", "over-num-vars", "index-over-cap", "num-vars-over-cap", "complementary-over-cap"],
+)
+def test_dnf_build_and_constructor_refuse_alike(terms, num_vars, message):
+    with pytest.raises(ValueError) as built:
+        DnfInput.build(terms, num_vars)
+    with pytest.raises(ValueError) as constructed:
+        DnfInput(num_vars, terms)
+    assert str(built.value) == str(constructed.value) == message
+
+
+def test_long_literal_is_refused_by_its_length():
+    # refused before int() reads the digits: no interpreter advice, no echo
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as refused:
+        parse_dnf("x1\nx1 x" + "9" * 5000 + "\n-x1\n")
+    assert time.perf_counter() - started < 0.1
+    message = str(refused.value)
+    assert message == f"line 2: a literal index of 5000 digits exceeds the cap of {MAX_DNF_VARIABLES} DNF variables"
+    assert "set_int_max_str_digits" not in message and "99999" not in message
+    # an index short enough for int() under any digit limit keeps the cap's message
+    with pytest.raises(ValueError, match=f"^literal index 100000 exceeds the cap of {MAX_DNF_VARIABLES} DNF"):
+        parse_dnf("x1 x100000\n")
+    longest = "9" * 640
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    try:
+        if limit is not None:
+            sys.set_int_max_str_digits(640)  # the lowest limit the interpreter allows
+        with pytest.raises(ValueError, match=f"^literal index {longest} exceeds the cap"):
+            parse_dnf(f"x{longest}\n")
+        with pytest.raises(ValueError, match="^line 1: a literal index of 641 digits exceeds the cap"):
+            parse_dnf(f"-x{longest}9\n")
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_reductions_reject_degenerate_dnf():
     with pytest.raises(ValueError, match="no satisfiable terms"):
         reduce_tautdnf_monotone(DnfInput.build([[1, -1]]))
@@ -119,22 +180,21 @@ def test_tautology_reductions_exhaustive_small():
 
 def test_linear_system_reduction():
     solvable = Gf2System(1, ((0b1, 1),))
-    inst, goal = reduce_linsys_to_imp(solvable)
-    assert goal == "f"
+    inst = reduce_linsys_to_imp(solvable)
     assert not decide_oracle(inst).implies
     conflict = Gf2System(2, ((0b11, 1), (0b11, 0)))
-    inst, _ = reduce_linsys_to_imp(conflict)
+    inst = reduce_linsys_to_imp(conflict)
     assert decide_oracle(inst).implies
     cycle = Gf2System(3, ((0b011, 1), (0b110, 1), (0b101, 1)))
-    inst, _ = reduce_linsys_to_imp(cycle)
+    inst = reduce_linsys_to_imp(cycle)
     assert decide_oracle(inst).implies
 
 
 def test_linear_system_reduction_edge_rows():
     # an all-zero row with rhs 1 forces the goal variable directly
-    inst, _ = reduce_linsys_to_imp(Gf2System(2, ((0b00, 1),)))
+    inst = reduce_linsys_to_imp(Gf2System(2, ((0b00, 1),)))
     assert decide_oracle(inst).implies
-    inst, _ = reduce_linsys_to_imp(Gf2System(2, ((0b00, 0),)))
+    inst = reduce_linsys_to_imp(Gf2System(2, ((0b00, 0),)))
     assert not decide_oracle(inst).implies
     with pytest.raises(ValueError, match="no rows"):
         reduce_linsys_to_imp(Gf2System(2, ()))
@@ -146,7 +206,7 @@ def test_linear_system_reduction_randomized():
         n = rng.randint(1, 5)
         rows = tuple((rng.randrange(1 << n), rng.randint(0, 1)) for _ in range(rng.randint(1, 6)))
         system = Gf2System(n, rows)
-        inst, _ = reduce_linsys_to_imp(system)
+        inst = reduce_linsys_to_imp(system)
         solvable = solve(system) is not None
         assert solvable == brute_consistent(system)
         assert decide_oracle(inst).implies == (not solvable)
@@ -203,7 +263,7 @@ def test_emitted_instances_roundtrip(tmp_path):
     emitted = [
         reduce_tautdnf_monotone(DnfInput.build([[1, -2], [2]])),
         reduce_tautdnf_d2(DnfInput.build([[1, -2], [2]])),
-        reduce_linsys_to_imp(Gf2System(2, ((0b11, 1),)))[0],
+        reduce_linsys_to_imp(Gf2System(2, ((0b11, 1),))),
         reduce_mod2_unary("101"),
         reduce_mod2_single_linear("101"),
     ]
